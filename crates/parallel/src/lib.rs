@@ -119,6 +119,6 @@ pub use pool::{
 pub use spmspv::{ParMaskedSpMSpV, ParSpMSpV};
 pub use supervised::{
     ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport,
-    PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
+    PanelInput, PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
 };
 pub use telemetry::PoolTelemetry;

@@ -566,10 +566,12 @@ fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
 ///
 /// Ranges claimed via [`DisjointSlices::range`] during one dispatch must
 /// be pairwise disjoint. Every use in this crate derives the ranges from a
-/// partition whose blocks are disjoint by construction.
+/// partition whose blocks are disjoint by construction. Debug builds check
+/// it: the cell records every claimed range and panics on an overlap.
 pub struct DisjointSlices<'a, T> {
     ptr: *mut T,
     len: usize,
+    ledger: RangeLedger,
     _marker: PhantomData<&'a mut [T]>,
 }
 
@@ -580,7 +582,12 @@ unsafe impl<T: Send> Sync for DisjointSlices<'_, T> {}
 impl<'a, T> DisjointSlices<'a, T> {
     /// Wraps `buf`, taking its unique borrow for `'a`.
     pub fn new(buf: &'a mut [T]) -> DisjointSlices<'a, T> {
-        DisjointSlices { ptr: buf.as_mut_ptr(), len: buf.len(), _marker: PhantomData }
+        DisjointSlices {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            ledger: RangeLedger::default(),
+            _marker: PhantomData,
+        }
     }
 
     /// Length of the wrapped buffer.
@@ -602,7 +609,72 @@ impl<'a, T> DisjointSlices<'a, T> {
     #[allow(clippy::mut_from_ref)] // the whole point of the cell
     pub unsafe fn range(&self, r: Range<usize>) -> &mut [T] {
         assert!(r.start <= r.end && r.end <= self.len, "range {r:?} out of bounds");
+        self.ledger.record(&r);
         std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.end - r.start)
+    }
+}
+
+/// Debug-build record of the ranges threads claim from one buffer: a
+/// claim that overlaps a live claim of *another* thread panics. A thread
+/// may re-claim rows it holds itself — the rounds of an
+/// [`IterationDriver`] dispatch rewrite each thread's block. It guards
+/// the `unsafe` disjoint-write sites ([`DisjointSlices`] and the
+/// supervised executor's output panel) and compiles to nothing without
+/// debug assertions.
+#[derive(Default)]
+pub(crate) struct RangeLedger {
+    #[cfg(debug_assertions)]
+    live: Mutex<Vec<(Range<usize>, std::thread::ThreadId)>>,
+}
+
+impl RangeLedger {
+    /// Records `r` as claimed by the current thread for the ledger's
+    /// lifetime. Empty ranges never conflict.
+    #[inline]
+    pub(crate) fn record(&self, r: &Range<usize>) {
+        #[cfg(debug_assertions)]
+        if !r.is_empty() {
+            let me = std::thread::current().id();
+            let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+            let clash = live.iter().find(|(o, t)| *t != me && o.start < r.end && r.start < o.end);
+            if let Some((o, _)) = clash {
+                let o = o.clone();
+                drop(live);
+                panic!("disjointness violated: claimed range {r:?} overlaps live claim {o:?}");
+            }
+            live.push((r.clone(), me));
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = r;
+    }
+
+    /// Records `r` until the returned guard drops (on unwind too), so
+    /// another thread may claim the rows once this writer is done.
+    #[inline]
+    pub(crate) fn claim(&self, r: Range<usize>) -> LedgerClaim<'_> {
+        self.record(&r);
+        LedgerClaim { ledger: self, range: r }
+    }
+}
+
+/// A live [`RangeLedger`] claim, released on drop.
+pub(crate) struct LedgerClaim<'a> {
+    ledger: &'a RangeLedger,
+    range: Range<usize>,
+}
+
+impl Drop for LedgerClaim<'_> {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        if !self.range.is_empty() {
+            let me = std::thread::current().id();
+            let mut live = self.ledger.live.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(i) = live.iter().position(|(o, t)| *o == self.range && *t == me) {
+                live.swap_remove(i);
+            }
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (self.ledger, &self.range);
     }
 }
 
@@ -794,6 +866,43 @@ mod tests {
             slot[0] = tid * 10;
         });
         assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "disjointness violated")]
+    fn disjoint_slices_ledger_rejects_overlapping_claims() {
+        let mut buf = vec![0u32; 10];
+        let cell = DisjointSlices::new(&mut buf);
+        let mut pool = WorkerPool::new(2);
+        // SAFETY: deliberately violated — the debug ledger must panic
+        // before the overlapping slice is ever built; `run` re-raises a
+        // worker's panic on the caller.
+        pool.run(|tid| {
+            let _slice = unsafe { cell.range(tid * 4..tid * 4 + 6) };
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn range_ledger_claims_release_on_drop() {
+        let ledger = RangeLedger::default();
+        let mine = ledger.claim(2..5);
+        let other_thread = |r: Range<usize>| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _claim = ledger.claim(r);
+                })
+                .join()
+                .is_ok()
+            })
+        };
+        assert!(!other_thread(4..6), "an overlap with another thread's live claim must panic");
+        assert!(other_thread(5..9), "adjacent rows do not overlap");
+        drop(mine);
+        // Released: another thread may now claim the rows (a recovery
+        // rewriting a panicked worker's chunk does exactly this).
+        assert!(other_thread(2..5));
     }
 
     #[test]

@@ -30,19 +30,37 @@
 //! typed [`PoolError`] instead (the output buffer is left untouched); the
 //! executor itself stays usable either way.
 //!
-//! The price of resilience: `x` is copied into the call state and chunk
-//! outputs are staged in per-chunk buffers before assembly into `y`
-//! (workers must never hold a borrow of caller memory). Use the plain
-//! `Par*` executors when raw throughput matters more than fault
-//! isolation.
+//! ## Buffer sets
+//!
+//! Workers must never hold a borrow of caller memory, so everything they
+//! touch lives in an `Arc`-owned **buffer set**: a staging panel for `x`
+//! and one output panel. Each claimed chunk is computed straight into its
+//! disjoint row range of the output panel — there are no per-chunk
+//! buffers and no assembly pass. The set is allocated lazily at the width
+//! `k` of the call and reused by every healthy call, so a healthy call
+//! allocates nothing vector-sized. A **stall retires the set**: the
+//! abandoned worker keeps its `Arc`, the caller moves the finished chunks
+//! into a fresh set and recomputes the stalled ones there, and the
+//! straggler's late write lands in memory that nobody reads again. Any
+//! call that returns while a worker may still touch the set (a fail-fast
+//! error, an unwinding panic) retires it the same way at the next call.
+//!
+//! Input and output can also move without copies: [`PanelInput::Shared`]
+//! lends the executor an owned `x` that workers read in place, and
+//! [`SupervisedSpMv::take_output`] moves the filled output panel out. The
+//! borrowed [`SupervisedSpMv::spmv`] / [`SupervisedSpMv::spmm`] entry
+//! points still copy `x` into the staging panel, and copy the workers'
+//! chunks out of the output panel into `y` (under `Degrade` the caller
+//! computes its own chunks straight into `y`).
 
 use crate::partition::RowPartition;
-use crate::pool::watchdog_deadline;
+use crate::pool::{watchdog_deadline, RangeLedger};
 use crate::telemetry::PoolTelemetry;
 use spmv_core::csr_du::{CsrDu, DuSplit};
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Csr, Isa, Scalar, SpIndex};
+use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,15 +86,17 @@ pub trait ChunkKernel<V: Scalar>: Send + Sync + 'static {
     /// Columns of the matrix (length of `x`).
     fn ncols(&self) -> usize;
     /// Number of chunks. Chunk row ranges are pairwise disjoint; rows not
-    /// covered by any chunk are zeroed at assembly.
+    /// covered by any chunk are zero in every result.
     fn nchunks(&self) -> usize;
     /// Row range `chunk` covers.
     fn chunk_rows(&self, chunk: usize) -> Range<usize>;
     /// Computes `out = (A·x)[chunk_rows(chunk)]`; `out` has exactly
-    /// `chunk_rows(chunk).len()` elements, pre-zeroed.
+    /// `chunk_rows(chunk).len()` elements and must be **overwritten**:
+    /// the executor reuses its output panel across calls, so `out` holds
+    /// a previous result on entry, not zeros.
     fn compute(&self, chunk: usize, x: &[V], out: &mut [V]);
     /// Multi-vector variant: `x` is an `ncols x k` row-major panel and
-    /// `out` a `chunk_rows(chunk).len() x k` row-major panel, pre-zeroed.
+    /// `out` a `chunk_rows(chunk).len() x k` row-major panel to overwrite.
     /// Must be deterministic like [`ChunkKernel::compute`], and its
     /// `k = 1` case must be bit-identical to `compute` (the supervisor
     /// routes both SpMV and SpMM recovery through this method). The
@@ -397,11 +417,207 @@ impl HealthReport {
 }
 
 // ---------------------------------------------------------------------
+// Buffer sets
+// ---------------------------------------------------------------------
+
+/// One vector-sized buffer of a [`Buffers`] set.
+///
+/// During a call, threads reach it only through a [`View`]: the staging
+/// panel is read-only, and the output panel is written on pairwise
+/// disjoint chunk ranges (see [`Out::write`]). The `Vec` itself is
+/// resized, read whole or moved out only while the set is *idle* — no
+/// worker of an unfinished or abandoned call can still reach it (see
+/// `SupervisedSpMv::bufs_busy`).
+struct Panel<V> {
+    buf: UnsafeCell<Vec<V>>,
+}
+
+// Shared access is confined to the disjoint-range protocol above.
+unsafe impl<V: Send + Sync> Sync for Panel<V> {}
+
+impl<V> Panel<V> {
+    fn new() -> Panel<V> {
+        Panel { buf: UnsafeCell::new(Vec::new()) }
+    }
+
+    /// The whole buffer.
+    ///
+    /// # Safety
+    ///
+    /// The set must be idle: no other thread may access this panel while
+    /// the returned reference lives.
+    #[allow(clippy::mut_from_ref)] // exclusivity is the caller's contract
+    unsafe fn vec_mut(&self) -> &mut Vec<V> {
+        &mut *self.buf.get()
+    }
+}
+
+/// Raw view of the first `len` elements of a panel, taken for one call.
+struct View<V> {
+    ptr: *mut V,
+    len: usize,
+}
+
+impl<V> Clone for View<V> {
+    fn clone(&self) -> View<V> {
+        *self
+    }
+}
+
+impl<V> Copy for View<V> {}
+
+// A view is dereferenced only under the panel's access protocol.
+unsafe impl<V: Send + Sync> Send for View<V> {}
+unsafe impl<V: Send + Sync> Sync for View<V> {}
+
+impl<V> View<V> {
+    /// Views the first `len` elements of `v`.
+    fn of(v: &mut Vec<V>, len: usize) -> View<V> {
+        assert!(len <= v.len(), "view of {len} elements over a panel of {}", v.len());
+        View { ptr: v.as_mut_ptr(), len }
+    }
+
+    /// # Safety
+    ///
+    /// Nobody may write `r` while the slice lives.
+    unsafe fn slice(&self, r: Range<usize>) -> &[V] {
+        assert!(r.start <= r.end && r.end <= self.len, "range {r:?} out of bounds");
+        std::slice::from_raw_parts(self.ptr.add(r.start), r.len())
+    }
+
+    /// # Safety
+    ///
+    /// Nobody else may access `r` while the slice lives.
+    #[allow(clippy::mut_from_ref)] // exclusivity is the caller's contract
+    unsafe fn slice_mut(&self, r: Range<usize>) -> &mut [V] {
+        assert!(r.start <= r.end && r.end <= self.len, "range {r:?} out of bounds");
+        std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.len())
+    }
+}
+
+/// The executor's reusable buffer set: a staging panel for copied or
+/// gathered inputs and the output panel. `Arc`-owned, so a worker
+/// abandoned mid-call keeps the set it writes alive after the executor
+/// has moved on to a fresh one.
+struct Buffers<V> {
+    x: Panel<V>,
+    y: Panel<V>,
+    /// Debug-build record of the output rows being written.
+    ledger: RangeLedger,
+}
+
+impl<V> Buffers<V> {
+    fn new() -> Buffers<V> {
+        Buffers { x: Panel::new(), y: Panel::new(), ledger: RangeLedger::default() }
+    }
+}
+
+/// Where a call's results go: the output panel of one buffer set.
+struct Out<V> {
+    bufs: Arc<Buffers<V>>,
+    y: View<V>,
+}
+
+impl<V> Clone for Out<V> {
+    fn clone(&self) -> Out<V> {
+        Out { bufs: Arc::clone(&self.bufs), y: self.y }
+    }
+}
+
+impl<V> Out<V> {
+    /// Opens the first `len` elements of `bufs`'s output panel.
+    ///
+    /// # Safety
+    ///
+    /// `bufs` must be idle (see [`Panel::vec_mut`]).
+    unsafe fn open(bufs: &Arc<Buffers<V>>, len: usize) -> Out<V> {
+        Out { bufs: Arc::clone(bufs), y: View::of(bufs.y.vec_mut(), len) }
+    }
+
+    /// Runs `f` on panel elements `r` — a chunk's rows scaled by the
+    /// panel width — claimed in the panel's ledger while `f` runs (and
+    /// released on unwind, so a recovery may rewrite a panicked chunk).
+    ///
+    /// # Safety
+    ///
+    /// No other thread may access `r` meanwhile. The chunk-claim protocol
+    /// guarantees it; debug builds check it.
+    unsafe fn write(&self, r: Range<usize>, f: impl FnOnce(&mut [V])) {
+        let _claim = self.bufs.ledger.claim(r.clone());
+        f(self.y.slice_mut(r))
+    }
+
+    /// # Safety
+    ///
+    /// Nobody may write `r` while the slice lives.
+    unsafe fn read(&self, r: Range<usize>) -> &[V] {
+        self.y.slice(r)
+    }
+}
+
+/// The `ncols x k` row-major input panel of a supervised call
+/// ([`SupervisedSpMv::run`]).
+#[derive(Clone)]
+pub enum PanelInput<'a, V> {
+    /// Copied into the executor's staging panel: workers never borrow
+    /// caller memory.
+    Borrowed(&'a [V]),
+    /// Written into the staging panel by the closure, which receives
+    /// exactly `ncols x k` elements — a caller assembling its panel from
+    /// several sources gathers in place instead of building a panel to be
+    /// copied.
+    Gather(&'a dyn Fn(&mut [V])),
+    /// An owned panel that workers read in place: no copy. The call holds
+    /// a reference, and so does any worker abandoned during it.
+    Shared(Arc<Vec<V>>),
+}
+
+/// Where a call's threads read `x`.
+enum XSrc<V> {
+    /// The staging panel of the call's buffer set, which the call's
+    /// [`Out`] keeps alive.
+    Staged(View<V>),
+    /// A caller-lent panel.
+    Shared(Arc<Vec<V>>),
+}
+
+impl<V> XSrc<V> {
+    fn get(&self) -> &[V] {
+        match self {
+            // SAFETY: the caller fills the staging panel before the call
+            // starts, and nobody rewrites it until the set is idle again
+            // (a retired set never is).
+            XSrc::Staged(v) => unsafe { v.slice(0..v.len) },
+            XSrc::Shared(x) => x,
+        }
+    }
+}
+
+/// Computes chunk `c` of `A · x` straight into its rows of `out`.
+///
+/// # Safety
+///
+/// The calling thread must own chunk `c` of `out`: it won the chunk's
+/// claim, or the claimer is resolved (see [`SupervisedSpMv::recover_chunk`]).
+unsafe fn compute_chunk<V: Scalar>(
+    kernel: &dyn ChunkKernel<V>,
+    c: usize,
+    x: &[V],
+    k: usize,
+    out: &Out<V>,
+) {
+    let rows = kernel.chunk_rows(c);
+    out.write(rows.start * k..rows.end * k, |o| kernel.compute_block(c, x, k, o));
+}
+
+// ---------------------------------------------------------------------
 // Per-call shared state
 // ---------------------------------------------------------------------
 
 /// Claim marker: chunk not yet claimed by any thread.
 const UNCLAIMED: usize = usize::MAX;
+/// Claim marker: the caller took an unstarted chunk over for recovery.
+const RECOVERING: usize = usize::MAX - 1;
 
 struct Progress {
     /// Chunks with a published result.
@@ -410,27 +626,31 @@ struct Progress {
     failed: Vec<(usize, usize)>,
 }
 
-/// Everything the workers touch during one call. Fully owned (behind an
-/// `Arc`), so an abandoned worker can finish — or never finish — without
+/// Everything the workers touch during one call: the buffer set (through
+/// `out` and `x`) plus the claim and progress bookkeeping. Behind an
+/// `Arc`, so an abandoned worker can finish — or never finish — without
 /// endangering the caller.
-struct CallState<V: Scalar> {
-    x: Vec<V>,
-    /// Panel width: `x` is `ncols * k`, chunk outputs are `rows * k`
+struct Dispatch<V: Scalar> {
+    out: Out<V>,
+    x: XSrc<V>,
+    /// Panel width: `x` is `ncols * k`, the output `nrows * k`, both
     /// row-major. `1` for plain SpMV.
     k: usize,
     nchunks: usize,
-    /// Next unclaimed chunk.
+    /// Next chunk to try.
     next: AtomicUsize,
-    /// `claims[k]`: tid that claimed chunk `k`, or [`UNCLAIMED`].
+    /// `claims[c]`: tid that claimed chunk `c`, [`UNCLAIMED`] or
+    /// [`RECOVERING`]. Only the thread whose compare-exchange won a chunk
+    /// computes it, so no two threads ever write the same rows.
     claims: Vec<AtomicUsize>,
-    /// First published result per chunk wins; later publishes (an
-    /// abandoned straggler finishing after recovery) are discarded.
-    results: Vec<Mutex<Option<Vec<V>>>>,
+    /// Chunks whose rows are final. The first publish wins; an abandoned
+    /// straggler publishing after recovery changes nothing.
+    published: Vec<AtomicBool>,
     progress: Mutex<Progress>,
     done_cv: Condvar,
     /// Per-thread heartbeats (index = tid), bumped at chunk claim and
     /// completion. Diagnostic only; exposed through
-    /// [`SupervisedSpMv::heartbeats`].
+    /// [`HealthReport::heartbeats`].
     hb: Vec<AtomicU64>,
     /// Per-thread busy nanoseconds (index = tid); each thread adds only
     /// to its own counter, relaxed ordering (diagnostics, not
@@ -448,7 +668,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// Runs `f`, crediting its wall time to `tid`'s busy counter. Compiles to
 /// a plain call without the `telemetry` feature.
 #[inline]
-fn timed<V: Scalar, R>(state: &CallState<V>, tid: usize, f: impl FnOnce() -> R) -> R {
+fn timed<V: Scalar, R>(state: &Dispatch<V>, tid: usize, f: impl FnOnce() -> R) -> R {
     #[cfg(feature = "telemetry")]
     {
         let t0 = Instant::now();
@@ -463,16 +683,17 @@ fn timed<V: Scalar, R>(state: &CallState<V>, tid: usize, f: impl FnOnce() -> R) 
     }
 }
 
-impl<V: Scalar> CallState<V> {
-    /// Publishes `out` for chunk `k` unless someone already did; returns
-    /// whether this publish won.
-    fn publish(&self, k: usize, out: Vec<V>) -> bool {
-        {
-            let mut slot = lock(&self.results[k]);
-            if slot.is_some() {
-                return false;
-            }
-            *slot = Some(out);
+impl<V: Scalar> Dispatch<V> {
+    /// Claims chunk `c` for `tid`; `false` if someone else holds it.
+    fn claim(&self, c: usize, tid: usize) -> bool {
+        self.claims[c].compare_exchange(UNCLAIMED, tid, Ordering::AcqRel, Ordering::Acquire).is_ok()
+    }
+
+    /// Marks chunk `c` final unless someone already did; returns whether
+    /// this publish won.
+    fn publish(&self, c: usize) -> bool {
+        if self.published[c].swap(true, Ordering::AcqRel) {
+            return false;
         }
         let mut p = lock(&self.progress);
         p.done += 1;
@@ -482,10 +703,10 @@ impl<V: Scalar> CallState<V> {
         true
     }
 
-    /// Records a worker panic on chunk `k` and wakes the supervisor.
-    fn mark_failed(&self, k: usize, tid: usize) {
+    /// Records a worker panic on chunk `c` and wakes the supervisor.
+    fn mark_failed(&self, c: usize, tid: usize) {
         let mut p = lock(&self.progress);
-        p.failed.push((k, tid));
+        p.failed.push((c, tid));
         self.done_cv.notify_all();
     }
 
@@ -500,7 +721,9 @@ impl<V: Scalar> CallState<V> {
 
 struct SupState<V: Scalar> {
     epoch: u64,
-    job: Option<Arc<CallState<V>>>,
+    /// The running call; cleared when it returns, so a worker that wakes
+    /// late finds nothing to do.
+    job: Option<Arc<Dispatch<V>>>,
     shutdown: bool,
 }
 
@@ -510,49 +733,54 @@ struct SupShared<V: Scalar> {
 }
 
 /// Outcome of one worker chunk attempt.
-enum ChunkRun<V> {
-    Done(Vec<V>),
+enum ChunkRun {
+    Done,
     #[cfg(feature = "fault-injection")]
     Exit,
 }
 
-/// Runs chunk `k` on a worker; returns `true` if the thread must exit
+/// Runs chunk `c` on a worker; returns `true` if the thread must exit
 /// (injected death). Panics — injected or real — are caught and recorded
 /// so the supervisor can recover without waiting for the deadline.
 fn worker_chunk<V: Scalar>(
-    job: &CallState<V>,
+    job: &Dispatch<V>,
     kernel: &dyn ChunkKernel<V>,
-    k: usize,
+    c: usize,
     tid: usize,
 ) -> bool {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
-        let injected = job.fault.before_compute(Some(k), tid);
+        let injected = job.fault.before_compute(Some(c), tid);
         #[cfg(feature = "fault-injection")]
         if injected == Some(crate::faults::FaultAction::ExitThread) {
             // Simulated thread death: the claimed chunk stays unfinished.
             return ChunkRun::Exit;
         }
-        let rows = kernel.chunk_rows(k);
-        let mut out = vec![V::zero(); rows.len() * job.k];
-        kernel.compute_block(k, &job.x, job.k, &mut out);
-        #[cfg(feature = "fault-injection")]
-        if injected == Some(crate::faults::FaultAction::CorruptChunk) {
-            if let Some(v0) = out.first_mut() {
-                *v0 = -*v0; // silent corruption only the self-check sees
-            }
+        let rows = kernel.chunk_rows(c);
+        // SAFETY: this thread won chunk `c`'s claim, so it alone writes
+        // the chunk's rows of this call's output panel.
+        unsafe {
+            job.out.write(rows.start * job.k..rows.end * job.k, |out| {
+                kernel.compute_block(c, job.x.get(), job.k, out);
+                #[cfg(feature = "fault-injection")]
+                if injected == Some(crate::faults::FaultAction::CorruptChunk) {
+                    if let Some(v0) = out.first_mut() {
+                        *v0 = -*v0; // silent corruption only the self-check sees
+                    }
+                }
+            });
         }
-        ChunkRun::Done(out)
+        ChunkRun::Done
     }));
     match outcome {
-        Ok(ChunkRun::Done(out)) => {
-            job.publish(k, out);
+        Ok(ChunkRun::Done) => {
+            job.publish(c);
             false
         }
         #[cfg(feature = "fault-injection")]
         Ok(ChunkRun::Exit) => true,
         Err(_) => {
-            job.mark_failed(k, tid);
+            job.mark_failed(c, tid);
             false
         }
     }
@@ -574,7 +802,9 @@ fn sup_worker_loop<V: Scalar>(
                 }
                 if st.epoch != seen_epoch {
                     seen_epoch = st.epoch;
-                    break Arc::clone(st.job.as_ref().expect("epoch advanced without a job"));
+                    if let Some(job) = st.job.as_ref() {
+                        break Arc::clone(job);
+                    }
                 }
                 st = shared.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
@@ -582,17 +812,19 @@ fn sup_worker_loop<V: Scalar>(
         loop {
             if !alive.load(Ordering::Acquire) {
                 // Abandoned mid-call: our roster slot has a replacement;
-                // exit quietly (the job state is Arc-owned, nothing
+                // exit quietly (the call state is Arc-owned, nothing
                 // dangles).
                 return;
             }
-            let k = job.next.fetch_add(1, Ordering::AcqRel);
-            if k >= job.nchunks {
+            let c = job.next.fetch_add(1, Ordering::AcqRel);
+            if c >= job.nchunks {
                 break;
             }
-            job.claims[k].store(tid, Ordering::Release);
+            if !job.claim(c, tid) {
+                continue; // taken over for recovery
+            }
             job.hb[tid].fetch_add(1, Ordering::AcqRel);
-            if timed(&job, tid, || worker_chunk(&job, &*kernel, k, tid)) {
+            if timed(&job, tid, || worker_chunk(&job, &*kernel, c, tid)) {
                 return;
             }
             job.hb[tid].fetch_add(1, Ordering::AcqRel);
@@ -612,21 +844,117 @@ struct WorkerSlot {
 /// Fault-tolerant parallel SpMV executor over a [`ChunkKernel`].
 ///
 /// Construction spawns `nthreads - 1` persistent workers (the caller
-/// participates as thread 0). Each [`SupervisedSpMv::spmv`] call fans the
-/// kernel's chunks out over the threads with dynamic claiming, supervises
-/// them against the watchdog deadline, recovers per the policy, and
-/// assembles `y`. See the module docs for the fault model.
+/// participates as thread 0). Each call fans the kernel's chunks out over
+/// the threads with dynamic claiming, each chunk written straight into
+/// the executor's output panel, supervises them against the watchdog
+/// deadline and recovers per the policy. See the module docs for the
+/// fault model and the buffer sets.
 pub struct SupervisedSpMv<V: Scalar> {
     kernel: Arc<dyn ChunkKernel<V>>,
     shared: Arc<SupShared<V>>,
     workers: Vec<WorkerSlot>,
     nthreads: usize,
     opts: WatchdogOpts,
+    /// Rows no chunk covers (empty for every built-in kernel). They stay
+    /// zero in a panel, which is zeroed once at allocation; a caller's
+    /// `y` written in place has them zeroed per call.
+    gaps: Vec<Range<usize>>,
+    /// The current buffer set.
+    bufs: Arc<Buffers<V>>,
+    /// Whether a worker may still touch `bufs`: set when a call
+    /// dispatches, cleared when it returns with every chunk resolved. The
+    /// next call retires a busy set instead of reusing it.
+    bufs_busy: bool,
+    /// Width of the result in the output panel; `0` when there is none
+    /// (no successful [`SupervisedSpMv::run`] yet, the last call failed
+    /// or wrote a caller's `y`, or the panel was taken).
+    out_k: usize,
+    /// Self-check scratch, grown to the largest checked chunk panel.
+    scratch: Vec<V>,
+}
+
+/// A chunk unresolved at the deadline, as triage classified it.
+struct Lost {
+    chunk: usize,
+    /// Its claimer (`0` when the caller took it over for recovery).
+    tid: usize,
+    /// What the claimer did, if it was a worker.
+    fault: Option<(FaultEvent, PoolError)>,
+}
+
+/// Where the caller assembles one call's result.
+enum Target<'y, V> {
+    /// The executor's output panel ([`SupervisedSpMv::run`]).
+    Panel(Out<V>),
+    /// The caller's own `y` ([`SupervisedSpMv::spmm`] under
+    /// [`RecoveryPolicy::Degrade`], which never has to leave `y`
+    /// untouched): the caller computes its chunks and recoveries straight
+    /// into `y`, and copies the workers' published chunks over from the
+    /// panel while it waits for the rest. `copied[c]`: chunk `c`'s final
+    /// rows are in `y`.
+    Direct { y: &'y mut [V], copied: Vec<bool> },
+}
+
+impl<V: Scalar> Target<'_, V> {
+    /// Computes chunk `c` into the result.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own chunk `c` (see [`compute_chunk`]).
+    unsafe fn compute(&mut self, kernel: &dyn ChunkKernel<V>, c: usize, x: &[V], k: usize) {
+        match self {
+            Target::Panel(out) => compute_chunk(kernel, c, x, k, out),
+            Target::Direct { y, copied } => {
+                let rows = kernel.chunk_rows(c);
+                kernel.compute_block(c, x, k, &mut y[rows.start * k..rows.end * k]);
+                copied[c] = true;
+            }
+        }
+    }
+
+    /// Copies every worker chunk published since the last collect from
+    /// the call's panel into `y` (a no-op for a panel target).
+    fn collect(&mut self, state: &Dispatch<V>, kernel: &dyn ChunkKernel<V>) {
+        let Target::Direct { y, copied } = self else { return };
+        for (c, copied) in copied.iter_mut().enumerate() {
+            if *copied || !state.published[c].load(Ordering::Acquire) {
+                continue;
+            }
+            let rows = kernel.chunk_rows(c);
+            let r = rows.start * state.k..rows.end * state.k;
+            // SAFETY: a worker published chunk `c`, so its panel rows are
+            // final; the caller never recovers a published chunk, and a
+            // straggler writes only chunks it never published.
+            y[r.clone()].copy_from_slice(unsafe { state.out.read(r) });
+            *copied = true;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Every chunk must be resolved (see [`SupervisedSpMv::self_check`]).
+    unsafe fn read(&self, r: Range<usize>) -> &[V] {
+        match self {
+            Target::Panel(out) => out.read(r),
+            Target::Direct { y, .. } => &y[r],
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As for [`Target::read`].
+    unsafe fn write(&mut self, r: Range<usize>, src: &[V]) {
+        match self {
+            Target::Panel(out) => out.write(r, |o| o.copy_from_slice(src)),
+            Target::Direct { y, .. } => y[r].copy_from_slice(src),
+        }
+    }
 }
 
 impl<V: Scalar> SupervisedSpMv<V> {
     /// Spawns the worker roster for `kernel` with `nthreads` total
-    /// threads and the given watchdog options.
+    /// threads and the given watchdog options. Buffers are allocated
+    /// lazily, at the width of the first call.
     pub fn with_opts(
         kernel: Arc<dyn ChunkKernel<V>>,
         nthreads: usize,
@@ -638,7 +966,19 @@ impl<V: Scalar> SupervisedSpMv<V> {
             work_cv: Condvar::new(),
         });
         let workers = (1..nthreads).map(|tid| spawn_sup_worker(&shared, &kernel, tid, 0)).collect();
-        SupervisedSpMv { kernel, shared, workers, nthreads, opts }
+        let gaps = uncovered_rows(&*kernel);
+        SupervisedSpMv {
+            kernel,
+            shared,
+            workers,
+            nthreads,
+            opts,
+            gaps,
+            bufs: Arc::new(Buffers::new()),
+            bufs_busy: false,
+            out_k: 0,
+            scratch: Vec::new(),
+        }
     }
 
     /// [`SupervisedSpMv::with_opts`] with [`WatchdogOpts::default`].
@@ -688,23 +1028,68 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// ([`RecoveryPolicy::FailFast`]). The `verify_every` self-check
     /// compares full chunk panels bit-for-bit. `k = 1` is bit-identical
     /// to [`SupervisedSpMv::spmv`].
+    ///
+    /// `x` is copied into the executor's staging panel. Under `Degrade`
+    /// the caller computes its own chunks straight into `y` and copies
+    /// only the workers' chunks out of the output panel; under `FailFast`
+    /// the whole result is copied out once the call has succeeded.
+    /// [`SupervisedSpMv::run`] with [`PanelInput::Shared`] and
+    /// [`SupervisedSpMv::take_output`] avoid the copies.
     pub fn spmm(&mut self, x: &[V], k: usize, y: &mut [V]) -> Result<HealthReport, PoolError> {
         assert!(k >= 1, "need at least one right-hand side");
-        assert_eq!(x.len(), self.kernel.ncols() * k, "x must be an ncols x k row-major panel");
         assert_eq!(y.len(), self.kernel.nrows() * k, "y must be an nrows x k row-major panel");
+        if self.opts.policy == RecoveryPolicy::Degrade {
+            return self.execute(PanelInput::Borrowed(x), k, Some(y));
+        }
+        let report = self.execute(PanelInput::Borrowed(x), k, None)?;
+        y.copy_from_slice(self.output());
+        Ok(report)
+    }
+
+    /// Computes the `nrows x k` panel `A · x` under supervision into the
+    /// executor's output panel: read it with [`SupervisedSpMv::output`],
+    /// or move it out with [`SupervisedSpMv::take_output`]. Fault model
+    /// and result are those of [`SupervisedSpMv::spmm`]; an error leaves
+    /// no result behind.
+    pub fn run(&mut self, x: PanelInput<'_, V>, k: usize) -> Result<HealthReport, PoolError> {
+        self.execute(x, k, None)
+    }
+
+    /// One supervised call, assembling its result in the output panel
+    /// (`direct == None`) or in the caller's `y`.
+    fn execute(
+        &mut self,
+        x: PanelInput<'_, V>,
+        k: usize,
+        direct: Option<&mut [V]>,
+    ) -> Result<HealthReport, PoolError> {
+        let x = self.prepare(x, k);
         let mut report = HealthReport::default();
         let nchunks = self.kernel.nchunks();
+        // SAFETY: `prepare` left the set idle.
+        let out = unsafe { Out::open(&self.bufs, self.kernel.nrows() * k) };
+        let mut target = match direct {
+            Some(y) => {
+                for g in &self.gaps {
+                    y[g.start * k..g.end * k].fill(V::zero());
+                }
+                Target::Direct { y, copied: vec![false; nchunks] }
+            }
+            None => Target::Panel(out.clone()),
+        };
         if nchunks == 0 {
-            y.fill(V::zero());
+            // All rows lie outside every chunk: zero.
+            self.out_k = if matches!(target, Target::Panel(_)) { k } else { 0 };
             return Ok(report);
         }
-        let state = Arc::new(CallState {
-            x: x.to_vec(),
+        let state = Arc::new(Dispatch {
+            out,
+            x,
             k,
             nchunks,
             next: AtomicUsize::new(0),
             claims: (0..nchunks).map(|_| AtomicUsize::new(UNCLAIMED)).collect(),
-            results: (0..nchunks).map(|_| Mutex::new(None)).collect(),
+            published: (0..nchunks).map(|_| AtomicBool::new(false)).collect(),
             progress: Mutex::new(Progress { done: 0, failed: Vec::new() }),
             done_cv: Condvar::new(),
             hb: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
@@ -714,6 +1099,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             fault: crate::faults::FaultHandle::capture(),
         });
         if self.nthreads > 1 {
+            self.bufs_busy = true;
             let mut st = lock(&self.shared.state);
             st.epoch += 1;
             st.job = Some(Arc::clone(&state));
@@ -725,33 +1111,41 @@ impl<V: Scalar> SupervisedSpMv<V> {
         // harness, not in the system under test).
         if self.opts.caller_participates {
             loop {
-                let k = state.next.fetch_add(1, Ordering::AcqRel);
-                if k >= nchunks {
+                let c = state.next.fetch_add(1, Ordering::AcqRel);
+                if c >= nchunks {
                     break;
                 }
-                state.claims[k].store(0, Ordering::Release);
+                if !state.claim(c, 0) {
+                    continue;
+                }
                 state.hb[0].fetch_add(1, Ordering::AcqRel);
-                let rows = self.kernel.chunk_rows(k);
-                let mut out = vec![V::zero(); rows.len() * state.k];
-                timed(&state, 0, || self.kernel.compute_block(k, &state.x, state.k, &mut out));
-                state.publish(k, out);
+                // SAFETY: the caller won chunk `c`'s claim.
+                timed(&state, 0, || unsafe { target.compute(&*self.kernel, c, state.x.get(), k) });
+                state.publish(c);
                 state.hb[0].fetch_add(1, Ordering::AcqRel);
             }
         }
-        self.supervise(&state, &mut report)?;
-        if self.opts.verify_every > 0 {
-            self.self_check(&state, &mut report)?;
+        let mut abandoned = false;
+        let mut result = self.supervise(&state, &mut target, &mut abandoned, &mut report);
+        if result.is_ok() && self.opts.verify_every > 0 {
+            result = self.self_check(&state, &mut target, &mut report);
         }
+        if self.nthreads > 1 {
+            // A worker that wakes only now finds no job and sleeps on; one
+            // abandoned in this call keeps its own `Arc`.
+            lock(&self.shared.state).job = None;
+        }
+        result?;
         report.heartbeats = state.hb.iter().map(|h| h.load(Ordering::Acquire)).collect();
         #[cfg(feature = "telemetry")]
         {
             // Chunk counts come from the claim ledger: who *claimed* each
             // chunk (recovery re-executions are credited to tid 0's busy
-            // time but not double-counted as chunks).
+            // time but not counted as chunks).
             let mut chunks = vec![0u64; self.nthreads];
             for claim in &state.claims {
                 let tid = claim.load(Ordering::Acquire);
-                if tid != UNCLAIMED {
+                if tid < self.nthreads {
                     chunks[tid] += 1;
                 }
             }
@@ -761,24 +1155,110 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 dispatches: 1,
             });
         }
-        // Assemble: zero y (covers rows outside every chunk), then copy
-        // each chunk's winning panel into its row range (scaled by the
-        // panel width).
-        y.fill(V::zero());
-        for c in 0..nchunks {
-            let rows = self.kernel.chunk_rows(c);
-            let slot = lock(&state.results[c]);
-            let out = slot.as_ref().expect("all chunks resolved before assembly");
-            y[rows.start * state.k..rows.end * state.k].copy_from_slice(out);
-        }
+        // Every chunk is resolved. A worker abandoned in this call still
+        // writes the set unless `retire` already replaced it.
+        self.bufs_busy = abandoned;
+        self.out_k = if matches!(target, Target::Panel(_)) { k } else { 0 };
         Ok(report)
     }
 
+    /// Computes the same panel as [`SupervisedSpMv::run`] on the calling
+    /// thread alone, chunk by chunk in chunk order: bit-identical to a
+    /// parallel call, with no worker, no watchdog and nothing to fail —
+    /// the degraded path for a caller that has stopped trusting the
+    /// pool. The result lands in the same output panel.
+    pub fn run_serial(&mut self, x: PanelInput<'_, V>, k: usize) {
+        let x = self.prepare(x, k);
+        // SAFETY: `prepare` left the set idle, and no worker is involved.
+        let out = unsafe { Out::open(&self.bufs, self.kernel.nrows() * k) };
+        for c in 0..self.kernel.nchunks() {
+            // SAFETY: only this thread touches the set.
+            unsafe { compute_chunk(&*self.kernel, c, x.get(), k, &out) };
+        }
+        self.out_k = k;
+    }
+
+    /// The `nrows x k` result of the last successful
+    /// [`SupervisedSpMv::run`] or [`SupervisedSpMv::run_serial`]; empty
+    /// if there is none (the last call failed or wrote a caller's `y`,
+    /// or the panel was taken).
+    pub fn output(&self) -> &[V] {
+        if self.out_k == 0 {
+            return &[];
+        }
+        // SAFETY: a call that leaves a result leaves the set idle.
+        unsafe { self.bufs.y.vec_mut() }
+    }
+
+    /// Moves the last result (see [`SupervisedSpMv::output`]) out of the
+    /// executor — no copy. The next call allocates a fresh output panel
+    /// in its place, so a caller that hands each result on (a serving
+    /// layer's reply) pays one allocation per call and no copy.
+    pub fn take_output(&mut self) -> Vec<V> {
+        if self.out_k == 0 {
+            return Vec::new();
+        }
+        self.out_k = 0;
+        // SAFETY: a call that leaves a result leaves the set idle.
+        std::mem::take(unsafe { self.bufs.y.vec_mut() })
+    }
+
+    /// Readies the current buffer set for a call of width `k`: retires a
+    /// busy set, sizes the output panel to exactly `nrows x k`, and
+    /// stages `x` unless it is shared. A panel is zeroed once when it is
+    /// allocated and only chunk rows are ever written, so rows outside
+    /// every chunk stay zero without a per-call fill.
+    fn prepare(&mut self, x: PanelInput<'_, V>, k: usize) -> XSrc<V> {
+        assert!(k >= 1, "need at least one right-hand side");
+        let (nrows, n) = (self.kernel.nrows(), self.kernel.ncols() * k);
+        match &x {
+            PanelInput::Borrowed(x) => {
+                assert_eq!(x.len(), n, "x must be an ncols x k row-major panel")
+            }
+            PanelInput::Shared(x) => {
+                assert_eq!(x.len(), n, "x must be an ncols x k row-major panel")
+            }
+            PanelInput::Gather(_) => {}
+        }
+        if self.bufs_busy {
+            // A worker may still touch the set: leave it to that worker.
+            self.bufs = Arc::new(Buffers::new());
+            self.bufs_busy = false;
+        }
+        self.out_k = 0;
+        // SAFETY: the set is idle, so this thread has it to itself.
+        let (xs, ys) = unsafe { (self.bufs.x.vec_mut(), self.bufs.y.vec_mut()) };
+        if ys.len() != nrows * k {
+            // Exact size: a taken panel becomes the caller's result vector.
+            *ys = Vec::new();
+            *ys = vec![V::zero(); nrows * k];
+        }
+        match x {
+            PanelInput::Shared(x) => XSrc::Shared(x),
+            staged => {
+                if xs.len() < n {
+                    *xs = Vec::new();
+                    *xs = vec![V::zero(); n];
+                }
+                match staged {
+                    PanelInput::Borrowed(x) => xs[..n].copy_from_slice(x),
+                    PanelInput::Gather(fill) => fill(&mut xs[..n]),
+                    PanelInput::Shared(_) => unreachable!("shared inputs are not staged"),
+                }
+                XSrc::Staged(View::of(xs, n))
+            }
+        }
+    }
+
     /// Waits for all chunks, recovering panics immediately and triaging
-    /// stragglers at the deadline.
+    /// stragglers at the deadline; a direct target collects worker
+    /// chunks while it waits. Sets `abandoned` if a stalled worker still
+    /// writes the current set when it returns.
     fn supervise(
         &mut self,
-        state: &Arc<CallState<V>>,
+        state: &Arc<Dispatch<V>>,
+        target: &mut Target<'_, V>,
+        abandoned: &mut bool,
         report: &mut HealthReport,
     ) -> Result<(), PoolError> {
         let start = Instant::now();
@@ -791,15 +1271,18 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 if self.opts.policy == RecoveryPolicy::FailFast {
                     return Err(PoolError::WorkerPanicked { tid, chunk });
                 }
-                self.recover_chunk(state, chunk, report);
+                self.recover_chunk(state, target, chunk, report);
             }
             if state.done() == state.nchunks {
-                return Ok(());
+                break;
             }
             let elapsed = start.elapsed();
             if elapsed >= self.opts.deadline {
-                return self.triage(state, report, elapsed);
+                self.triage(state, target, abandoned, report, elapsed)?;
+                break;
             }
+            // Copy out what the workers have finished while the rest run.
+            target.collect(state, &*self.kernel);
             let p = lock(&state.progress);
             if p.done < state.nchunks && p.failed.is_empty() {
                 let _unused = state
@@ -808,34 +1291,55 @@ impl<V: Scalar> SupervisedSpMv<V> {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
+        target.collect(state, &*self.kernel);
+        Ok(())
     }
 
     /// Deadline expired with chunks outstanding: classify each straggling
     /// worker (dead vs stalled), abandon/respawn it, and re-execute its
-    /// chunk serially (Degrade) or abort (FailFast).
+    /// chunk serially (Degrade) or abort (FailFast). A stalled worker
+    /// keeps writing the call's set, so the set is retired to it.
     fn triage(
         &mut self,
-        state: &Arc<CallState<V>>,
+        state: &Arc<Dispatch<V>>,
+        target: &mut Target<'_, V>,
+        abandoned: &mut bool,
         report: &mut HealthReport,
         waited: Duration,
     ) -> Result<(), PoolError> {
+        // Classify every unresolved chunk before recovering any. An
+        // unstarted chunk is claimed for recovery here, so no worker can
+        // pick it up while the caller writes its rows.
+        let mut lost: Vec<Lost> = Vec::new();
         for chunk in 0..state.nchunks {
-            if lock(&state.results[chunk]).is_some() {
+            if state.published[chunk].load(Ordering::Acquire) {
+                continue;
+            }
+            if state.claim(chunk, RECOVERING) {
+                lost.push(Lost { chunk, tid: 0, fault: None });
                 continue;
             }
             let tid = state.claims[chunk].load(Ordering::Acquire);
-            let fault = if tid == UNCLAIMED || tid == 0 {
-                // Unclaimed (workers died before reaching it) or the
-                // supervisor's own — no worker to blame; just recover.
-                None
+            let fault = if tid == 0 || tid >= self.nthreads {
+                None // the supervisor's own: no worker to blame
             } else if self.workers[tid - 1].handle.is_finished() {
                 Some((FaultEvent::WorkerDied { tid, chunk }, PoolError::WorkerDied { tid, chunk }))
             } else {
+                *abandoned = true;
                 Some((
                     FaultEvent::WorkerStalled { tid, chunk, waited },
                     PoolError::WorkerStalled { tid, chunk, waited },
                 ))
             };
+            lost.push(Lost { chunk, tid, fault });
+        }
+        if *abandoned && self.opts.policy == RecoveryPolicy::Degrade {
+            if let Target::Panel(out) = target {
+                self.retire(state, out, &lost);
+                *abandoned = false; // the straggler's set is no longer ours
+            }
+        }
+        for Lost { chunk, tid, fault } in lost {
             if let Some((event, error)) = fault {
                 report.events.push(event);
                 self.respawn(tid, report);
@@ -846,7 +1350,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             // Unclaimed chunks carry no fault to report (the work just
             // has to happen somewhere) — recover them under both
             // policies.
-            self.recover_chunk(state, chunk, report);
+            self.recover_chunk(state, target, chunk, report);
         }
         // Every chunk now has a published result; panics that raced the
         // scan still deserve their event (their chunk was recovered by
@@ -862,15 +1366,52 @@ impl<V: Scalar> SupervisedSpMv<V> {
         Ok(())
     }
 
-    /// Re-executes `chunk` serially on the caller and publishes the
-    /// result (first publish wins; a late straggler's result is
-    /// discarded).
-    fn recover_chunk(&self, state: &Arc<CallState<V>>, chunk: usize, report: &mut HealthReport) {
-        let rows = self.kernel.chunk_rows(chunk);
-        let mut out = vec![V::zero(); rows.len() * state.k];
+    /// Retires the call's buffer set to its stalled worker(s): the
+    /// finished chunks move into a fresh set, which becomes both the
+    /// executor's set and the caller's `out`; the `lost` chunks are then
+    /// recomputed there. The straggler keeps the old set through its
+    /// `Arc`, so its late write lands where nobody reads.
+    fn retire(&mut self, state: &Dispatch<V>, out: &mut Out<V>, lost: &[Lost]) {
+        let fresh = Arc::new(Buffers::new());
+        let mut is_lost = vec![false; state.nchunks];
+        for l in lost {
+            is_lost[l.chunk] = true;
+        }
+        {
+            // SAFETY: the fresh set is not shared yet.
+            let ys = unsafe { fresh.y.vec_mut() };
+            *ys = vec![V::zero(); out.y.len];
+            for c in (0..state.nchunks).filter(|&c| !is_lost[c]) {
+                let rows = self.kernel.chunk_rows(c);
+                let r = rows.start * state.k..rows.end * state.k;
+                // SAFETY: chunk `c` was published before the scan, so its
+                // rows are final and nobody writes them again.
+                ys[r.clone()].copy_from_slice(unsafe { out.read(r) });
+            }
+        }
+        // SAFETY: only this thread can reach the fresh set.
+        *out = unsafe { Out::open(&fresh, out.y.len) };
+        self.bufs = fresh;
+    }
+
+    /// Re-executes `chunk` serially on the caller into `target` and
+    /// publishes it (first publish wins; a late straggler's is a no-op).
+    /// The chunk's claimer is resolved: it panicked (releasing its rows),
+    /// died, was abandoned (writing a retired set or, for a direct
+    /// target, a panel the caller no longer reads), or never existed
+    /// because the caller claimed the chunk for recovery.
+    fn recover_chunk(
+        &self,
+        state: &Arc<Dispatch<V>>,
+        target: &mut Target<'_, V>,
+        chunk: usize,
+        report: &mut HealthReport,
+    ) {
         // Recovery runs on the caller: credit its busy time to tid 0.
-        timed(state, 0, || self.kernel.compute_block(chunk, &state.x, state.k, &mut out));
-        state.publish(chunk, out);
+        // SAFETY: the claimer is resolved (see above), so only the caller
+        // writes the chunk's rows of `target`.
+        timed(state, 0, || unsafe { target.compute(&*self.kernel, chunk, state.x.get(), state.k) });
+        state.publish(chunk);
         report.recovered_chunks += 1;
     }
 
@@ -910,34 +1451,56 @@ impl<V: Scalar> SupervisedSpMv<V> {
         respawned
     }
 
-    /// Re-executes sampled chunks serially and compares bit patterns;
-    /// replaces corrupted chunks with the serial result (Degrade) or
-    /// aborts (FailFast).
+    /// Re-executes sampled chunks serially into the reused scratch and
+    /// compares bit patterns with the result; replaces corrupted chunks
+    /// with the serial result (Degrade) or aborts (FailFast).
     fn self_check(
-        &self,
-        state: &Arc<CallState<V>>,
+        &mut self,
+        state: &Arc<Dispatch<V>>,
+        target: &mut Target<'_, V>,
         report: &mut HealthReport,
     ) -> Result<(), PoolError> {
+        let k = state.k;
         for chunk in (0..state.nchunks).step_by(self.opts.verify_every) {
             let rows = self.kernel.chunk_rows(chunk);
-            let mut expect = vec![V::zero(); rows.len() * state.k];
-            self.kernel.compute_block(chunk, &state.x, state.k, &mut expect);
-            let mut slot = lock(&state.results[chunk]);
-            let got = slot.as_ref().expect("all chunks resolved before self-check");
-            let clean = got.len() == expect.len()
-                && got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits());
-            if clean {
+            let r = rows.start * k..rows.end * k;
+            if self.scratch.len() < r.len() {
+                self.scratch.resize(r.len(), V::zero());
+            }
+            let expect = &mut self.scratch[..r.len()];
+            self.kernel.compute_block(chunk, state.x.get(), k, expect);
+            // SAFETY: every chunk is resolved, and an abandoned worker
+            // writes only a set the result no longer lives in.
+            let got = unsafe { target.read(r.clone()) };
+            if got.iter().zip(expect.iter()).all(|(a, b)| a.to_bits() == b.to_bits()) {
                 continue;
             }
             report.events.push(FaultEvent::ChunkCorrupted { chunk });
             if self.opts.policy == RecoveryPolicy::FailFast {
                 return Err(PoolError::ChunkCorrupted { chunk });
             }
-            *slot = Some(expect); // the serial result is authoritative
+            // SAFETY: as above; the serial result is authoritative.
+            unsafe { target.write(r, expect) };
             report.recovered_chunks += 1;
         }
         Ok(())
     }
+}
+
+/// Rows of `kernel` that no chunk covers, as sorted disjoint ranges.
+fn uncovered_rows<V: Scalar>(kernel: &dyn ChunkKernel<V>) -> Vec<Range<usize>> {
+    let mut covered: Vec<Range<usize>> =
+        (0..kernel.nchunks()).map(|c| kernel.chunk_rows(c)).filter(|r| !r.is_empty()).collect();
+    covered.sort_unstable_by_key(|r| r.start);
+    let mut gaps = Vec::new();
+    let mut row = 0;
+    for r in covered.iter().chain(std::iter::once(&(kernel.nrows()..kernel.nrows()))) {
+        if r.start > row {
+            gaps.push(row..r.start);
+        }
+        row = row.max(r.end);
+    }
+    gaps
 }
 
 fn spawn_sup_worker<V: Scalar>(
@@ -1249,5 +1812,149 @@ mod tests {
             assert_eq!(t.chunks.iter().sum::<u64>(), 8);
             assert!(t.imbalance() >= 1.0);
         }
+    }
+
+    #[test]
+    fn chunk_kernels_overwrite_stale_output() {
+        // Panels are reused across calls, so every kernel must overwrite
+        // its rows instead of accumulating into pre-zeroed ones.
+        let coo = irregular(90, 70, 17);
+        let csr: Csr<u32, f64> = coo.to_csr();
+        for k in [1usize, 2, 3, 4, 8] {
+            let x: Vec<f64> = (0..70 * k).map(|i| ((i % 13) as f64) * 0.3 - 1.7).collect();
+            for (name, kernel) in kernels(&csr, 5) {
+                for chunk in 0..kernel.nchunks() {
+                    let len = kernel.chunk_rows(chunk).len() * k;
+                    let mut clean = vec![0.0; len];
+                    kernel.compute_block(chunk, &x, k, &mut clean);
+                    let mut stale = vec![f64::NAN; len];
+                    kernel.compute_block(chunk, &x, k, &mut stale);
+                    let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&stale), bits(&clean), "{name} k={k} chunk={chunk}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_copy_entry_points_match_spmm() {
+        let coo = irregular(150, 120, 23);
+        let csr: Csr<u32, f64> = coo.to_csr();
+        for k in [1usize, 3] {
+            let x: Vec<f64> = (0..120 * k).map(|i| ((i % 19) as f64) * 0.4 - 2.0).collect();
+            let mut want = vec![0.0; 150 * k];
+            csr.spmm(&x, k, &mut want);
+            for (name, kernel) in kernels(&csr, 6) {
+                let mut sup = SupervisedSpMv::with_opts(kernel, 3, calm());
+                let shared = Arc::new(x.clone());
+                for call in 0..3 {
+                    sup.run(PanelInput::Shared(Arc::clone(&shared)), k).expect("healthy run");
+                    assert_eq!(sup.output(), &want[..], "{name} k={k} shared call {call}");
+                }
+                let taken = sup.take_output();
+                assert_eq!(taken, want, "{name} k={k}: taken panel");
+                assert!(sup.output().is_empty(), "a taken panel leaves no result behind");
+                let gather = |panel: &mut [f64]| panel.copy_from_slice(&x);
+                sup.run(PanelInput::Gather(&gather), k).expect("healthy run");
+                assert_eq!(sup.output(), &want[..], "{name} k={k}: gathered");
+                sup.run_serial(PanelInput::Borrowed(&x), k);
+                assert_eq!(sup.output(), &want[..], "{name} k={k}: serial");
+                let mut y = vec![5.0; 150 * k];
+                sup.spmm(&x, k, &mut y).expect("healthy run");
+                assert_eq!(y, want, "{name} k={k}: borrowed");
+            }
+        }
+    }
+
+    /// CSR chunks with rows `lo..hi` left out of every chunk.
+    struct Gapped {
+        inner: CsrChunks<u32, f64>,
+        gap: Range<usize>,
+    }
+
+    impl ChunkKernel<f64> for Gapped {
+        fn nrows(&self) -> usize {
+            ChunkKernel::nrows(&self.inner)
+        }
+        fn ncols(&self) -> usize {
+            ChunkKernel::ncols(&self.inner)
+        }
+        fn nchunks(&self) -> usize {
+            2
+        }
+        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
+            if chunk == 0 {
+                self.gap.end..self.nrows()
+            } else {
+                0..self.gap.start
+            }
+        }
+        fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
+            let r = self.chunk_rows(chunk);
+            self.inner.matrix.spmv_rows_local(r.start, r.end, x, out);
+        }
+    }
+
+    #[test]
+    fn rows_outside_every_chunk_are_zero_on_every_path() {
+        let coo = irregular(100, 80, 29);
+        let csr: Csr<u32, f64> = coo.to_csr();
+        let x = x_for(80);
+        let mut want = vec![0.0; 100];
+        csr.spmv(&x, &mut want);
+        want[40..60].fill(0.0);
+        let m = Arc::new(csr);
+        let gapped = || Gapped { inner: CsrChunks::new(Arc::clone(&m), 1), gap: 40..60 };
+        assert_eq!(uncovered_rows(&gapped()), vec![40..60]);
+        for policy in [RecoveryPolicy::Degrade, RecoveryPolicy::FailFast] {
+            let kernel = gapped();
+            let opts = WatchdogOpts { policy, ..calm() };
+            let mut sup = SupervisedSpMv::with_opts(Arc::new(kernel), 2, opts);
+            for call in 0..2 {
+                let mut y = vec![9.0; 100];
+                sup.spmv(&x, &mut y).expect("healthy run");
+                assert_eq!(y, want, "{policy:?} borrowed call {call}");
+                sup.run(PanelInput::Borrowed(&x), 1).expect("healthy run");
+                assert_eq!(sup.output(), &want[..], "{policy:?} panel call {call}");
+                sup.run_serial(PanelInput::Borrowed(&x), 1);
+                assert_eq!(sup.output(), &want[..], "{policy:?} serial call {call}");
+            }
+        }
+    }
+
+    #[test]
+    fn uncovered_rows_finds_every_gap() {
+        let csr: Csr<u32, f64> = irregular(30, 30, 3).to_csr();
+        assert!(uncovered_rows(&CsrChunks::new(Arc::new(csr.clone()), 4)).is_empty());
+        let gapped = Gapped { inner: CsrChunks::new(Arc::new(csr), 1), gap: 0..5 };
+        assert_eq!(uncovered_rows(&gapped), vec![0..5]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "disjointness violated")]
+    fn output_panel_ledger_rejects_overlapping_chunk_writes() {
+        let bufs = Arc::new(Buffers::<f64>::new());
+        // SAFETY: the set is not shared yet.
+        unsafe { *bufs.y.vec_mut() = vec![0.0; 16] };
+        let out = unsafe { Out::open(&bufs, 16) };
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            // SAFETY: deliberately violated — the ledger must panic in the
+            // second writer before its overlapping slice is built.
+            let first = s.spawn(|| unsafe {
+                out.write(0..10, |_| {
+                    barrier.wait();
+                    barrier.wait();
+                })
+            });
+            barrier.wait(); // the first writer now holds rows 0..10
+            let second = s.spawn(|| unsafe { out.write(5..12, |_| ()) }).join();
+            barrier.wait();
+            first.join().expect("first writer is healthy");
+            if let Err(payload) = second {
+                panic::resume_unwind(payload);
+            }
+        });
     }
 }

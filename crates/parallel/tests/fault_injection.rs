@@ -24,13 +24,13 @@ use spmv_core::csr_du::{CsrDu, DuOptions};
 use spmv_core::{Coo, Csr, SpMv};
 use spmv_parallel::faults::{FaultAction, FaultPlan, FaultSite};
 use spmv_parallel::supervised::{
-    ChunkKernel, CsrChunks, CsrDuChunks, FaultEvent, PoolError, RecoveryPolicy, SupervisedSpMv,
-    WatchdogOpts,
+    ChunkKernel, CsrChunks, CsrDuChunks, FaultEvent, PanelInput, PoolError, RecoveryPolicy,
+    SupervisedSpMv, WatchdogOpts,
 };
 use spmv_parallel::{PoolEvent, WorkerPool};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -371,6 +371,175 @@ fn supervised_spmm_failfast_corruption_error() {
     let err = sup.spmm(&x, k, &mut y).expect_err("corruption must fail fast");
     assert!(matches!(err, PoolError::ChunkCorrupted { .. }), "{err:?}");
     assert_eq!(y, vec![9.5; 80 * k], "failfast corruption must leave the panel untouched");
+}
+
+// ---------------------------------------------------------------------
+// Buffer retirement: a stalled worker's late write lands in a retired set
+// ---------------------------------------------------------------------
+
+/// CSR chunks that can be slowed down, and that timestamp every chunk
+/// computed from the marked input — how the drill sees the abandoned
+/// straggler's late write.
+struct Watched {
+    inner: CsrChunks<u32, f64>,
+    slow: AtomicBool,
+    mark: f64,
+    marked: Mutex<Vec<Instant>>,
+}
+
+impl Watched {
+    fn after(&self, x: &[f64]) {
+        if x[0].to_bits() == self.mark.to_bits() {
+            self.marked.lock().unwrap().push(Instant::now());
+        }
+    }
+}
+
+impl ChunkKernel<f64> for Watched {
+    fn nrows(&self) -> usize {
+        ChunkKernel::nrows(&self.inner)
+    }
+    fn ncols(&self) -> usize {
+        ChunkKernel::ncols(&self.inner)
+    }
+    fn nchunks(&self) -> usize {
+        ChunkKernel::nchunks(&self.inner)
+    }
+    fn chunk_rows(&self, chunk: usize) -> std::ops::Range<usize> {
+        self.inner.chunk_rows(chunk)
+    }
+    fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
+        self.compute_block(chunk, x, 1, out);
+    }
+    fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
+        if self.slow.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(8));
+        }
+        self.inner.compute_block(chunk, x, k, out);
+        self.after(x);
+    }
+}
+
+/// One call through the borrowed (`spmm`, `y` prefilled with 123.0) or
+/// the shared-input (`run` + `output`) entry point.
+fn drill_call(
+    sup: &mut SupervisedSpMv<f64>,
+    x: &[f64],
+    k: usize,
+    nrows: usize,
+    shared: bool,
+) -> (Result<spmv_parallel::HealthReport, PoolError>, Vec<f64>) {
+    if shared {
+        let res = sup.run(PanelInput::Shared(Arc::new(x.to_vec())), k);
+        (res, sup.output().to_vec())
+    } else {
+        let mut y = vec![123.0; nrows * k];
+        let res = sup.spmm(x, k, &mut y);
+        (res, y)
+    }
+}
+
+/// Stalls the worker holding chunk 0 of dispatch 0 past the deadline,
+/// then keeps dispatching (at least two more calls, each on a fresh
+/// input) until the abandoned straggler has woken and written its chunk
+/// into the set it was retired with. Every later call must be healthy
+/// and bit-identical to serial: the late write may not reach live
+/// memory.
+fn stall_retires_buffer_set(policy: RecoveryPolicy, k: usize) {
+    let (nrows, ncols) = (160, 120);
+    let csr: Csr<u32, f64> = irregular(nrows, ncols, 42).to_csr();
+    let xs: Vec<Vec<f64>> = (0..16)
+        .map(|d| {
+            let mut x = x_panel_for(ncols, k);
+            x[0] = 100.0 + d as f64; // distinct inputs, marked by x[0]
+            x
+        })
+        .collect();
+    let want: Vec<Vec<f64>> = xs
+        .iter()
+        .map(|x| {
+            let mut y = vec![0.0; nrows * k];
+            csr.spmm(x, k, &mut y);
+            y
+        })
+        .collect();
+    let csr = Arc::new(csr);
+    for shared in [false, true] {
+        let kernel = Arc::new(Watched {
+            inner: CsrChunks::new(Arc::clone(&csr), 8),
+            slow: AtomicBool::new(false),
+            mark: xs[0][0],
+            marked: Mutex::new(Vec::new()),
+        });
+        let dyn_kernel: Arc<dyn ChunkKernel<f64>> = kernel.clone();
+        let mut sup = SupervisedSpMv::with_opts(dyn_kernel, 3, injection_opts(policy));
+        let armed = FaultPlan::new()
+            .inject(FaultSite::chunk(0, 0), FaultAction::DelayOnce(Duration::from_millis(120)))
+            .arm();
+        let (res, y) = drill_call(&mut sup, &xs[0], k, nrows, shared);
+        let call0_end = Instant::now();
+        assert_eq!(armed.fired_count(), 1, "the stall must be injected");
+        let what = format!("{policy:?} k={k} shared={shared}");
+        match policy {
+            RecoveryPolicy::Degrade => {
+                let report = res.expect("degrade recovers the stall");
+                assert_eq!(y, want[0], "{what}: call 0");
+                assert!(
+                    report.events.iter().any(|e| matches!(e, FaultEvent::WorkerStalled { .. }))
+                        && report
+                            .events
+                            .iter()
+                            .any(|e| matches!(e, FaultEvent::WorkerRespawned { .. })),
+                    "{what}: call 0 events {:?}",
+                    report.events
+                );
+            }
+            RecoveryPolicy::FailFast => {
+                let err = res.expect_err("failfast surfaces the stall");
+                assert!(matches!(err, PoolError::WorkerStalled { .. }), "{what}: {err:?}");
+                let untouched = if shared { Vec::new() } else { vec![123.0; nrows * k] };
+                assert_eq!(y, untouched, "{what}: failfast must leave the output untouched");
+            }
+        }
+        // Slow, patient calls: each one spans tens of milliseconds, so
+        // the straggler wakes and writes while they run.
+        kernel.slow.store(true, Ordering::Release);
+        sup.set_deadline(Duration::from_secs(30));
+        let mut d = 1;
+        loop {
+            let (res, y) = drill_call(&mut sup, &xs[d], k, nrows, shared);
+            let report = res.expect("later calls are healthy");
+            assert_eq!(y, want[d], "{what}: call {d}");
+            assert!(!report.degraded(), "{what}: call {d} events {:?}", report.events);
+            d += 1;
+            let late = kernel.marked.lock().unwrap().iter().any(|t| *t > call0_end);
+            if d >= 3 && late {
+                break;
+            }
+            assert!(d < xs.len(), "{what}: the straggler never wrote");
+        }
+        drop(armed);
+    }
+}
+
+#[test]
+fn supervised_stall_retires_buffer_set_under_degrade() {
+    stall_retires_buffer_set(RecoveryPolicy::Degrade, 1);
+}
+
+#[test]
+fn supervised_stall_retires_buffer_set_under_failfast() {
+    stall_retires_buffer_set(RecoveryPolicy::FailFast, 1);
+}
+
+#[test]
+fn supervised_spmm_stall_retires_buffer_set_under_degrade() {
+    stall_retires_buffer_set(RecoveryPolicy::Degrade, 4);
+}
+
+#[test]
+fn supervised_spmm_stall_retires_buffer_set_under_failfast() {
+    stall_retires_buffer_set(RecoveryPolicy::FailFast, 4);
 }
 
 // ---------------------------------------------------------------------

@@ -307,7 +307,7 @@ mod tests {
             shard: 0,
             matrix: format!("m{slot}"),
             tenant: tenant.to_string(),
-            x: vec![1.0],
+            x: Arc::new(vec![1.0]),
             enqueued: now,
             expires: now + Duration::from_secs(60),
             reply: Arc::new(ReplySlot::new()),

@@ -309,7 +309,9 @@ pub(crate) struct Pending {
     /// Matrix name, for typed lifecycle errors.
     pub matrix: String,
     pub tenant: String,
-    pub x: Vec<f64>,
+    /// Shared so a k = 1 batch lends it to the executor without a copy
+    /// while a replay can still read it.
+    pub x: Arc<Vec<f64>>,
     pub enqueued: Instant,
     pub expires: Instant,
     pub reply: Arc<ReplySlot>,
@@ -575,7 +577,7 @@ impl SpmvService {
                     shard: m.shard,
                     matrix: req.matrix,
                     tenant: req.tenant,
-                    x: req.x,
+                    x: Arc::new(req.x),
                     enqueued: now,
                     expires: now + budget,
                     reply: Arc::clone(&reply),

@@ -36,7 +36,7 @@ use crate::sched::{release_slot, DrrSched};
 use crate::service::{Pending, Response, ServiceConfig, TenantLimits};
 use crate::stats::{ShardStatsInner, StatsInner};
 use spmv_memsim::Planner;
-use spmv_parallel::{ChunkKernel, PoolError, SupervisedSpMv, WatchdogOpts};
+use spmv_parallel::{ChunkKernel, PanelInput, PoolError, SupervisedSpMv, WatchdogOpts};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -313,9 +313,10 @@ pub(crate) fn shard_loop(inner: &Arc<ServiceInner>, idx: usize, my_inc: u64) {
     }
 }
 
-/// Executes one coalesced batch: expire stale members, gather the
-/// panel, run it (parallel with retry/backoff, serially when the matrix
-/// breaker is open or the whole shard is degraded), scatter, publish.
+/// Executes one coalesced batch: expire stale members, lend (k = 1) or
+/// gather the input panel, run it (parallel with retry/backoff, serially
+/// when the matrix breaker is open or the whole shard is degraded), move
+/// (k = 1) or scatter the output into the replies, publish.
 fn run_batch(
     inner: &ServiceInner,
     sh: &ShardShared,
@@ -370,17 +371,23 @@ fn run_batch(
             }
         },
     };
-    let (nrows, ncols) = (es.kernel.nrows(), es.kernel.ncols());
+    let nrows = es.kernel.nrows();
 
-    // Gather the column-major request vectors into the row-major
-    // `ncols x k` panel the SpMM kernels expect.
-    let mut x_panel = vec![0.0f64; ncols * k];
-    for (v, p) in live.iter().enumerate() {
-        for (c, &val) in p.x.iter().enumerate() {
-            x_panel[c * k + v] = val;
+    // A single request lends its own `x` to the executor, which workers
+    // read in place; a wider batch gathers its column vectors into the
+    // executor's reused row-major `ncols x k` staging panel.
+    let gather = |panel: &mut [f64]| {
+        for (v, p) in live.iter().enumerate() {
+            for (c, &val) in p.x.iter().enumerate() {
+                panel[c * k + v] = val;
+            }
         }
-    }
-    let mut y_panel = vec![0.0f64; nrows * k];
+    };
+    let input = if k == 1 {
+        PanelInput::Shared(Arc::clone(&live[0].x))
+    } else {
+        PanelInput::Gather(&gather)
+    };
 
     // The watchdog deadline tracks the batch's tightest remaining
     // budget: a stalled worker costs at most the time the most
@@ -393,11 +400,13 @@ fn run_batch(
 
     let run_serial = sh.degraded.load(Ordering::Acquire) || !es.breaker.allow_parallel(now);
     let outcome = if run_serial {
-        serial_spmm(es.kernel.as_ref(), &x_panel, k, &mut y_panel);
+        // Same chunks, same kernel, chunk order, on this thread alone:
+        // bit-identical to the parallel path, nothing left to fail.
+        es.exec.run_serial(input, k);
         stats.bump(&stats.serial_batches);
         BatchOutcome { degraded: false, attempts: 1, serial: true }
     } else {
-        match run_parallel(es, stats, cfg, &x_panel, k, &mut y_panel, tightest) {
+        match run_parallel(es, stats, cfg, input, k, tightest) {
             Ok(o) => o,
             Err((attempts, last)) => {
                 for p in &live {
@@ -416,11 +425,15 @@ fn run_batch(
     };
 
     stats.batch_sizes[k - 1].fetch_add(1, Ordering::Relaxed);
-    for (v, p) in live.iter().enumerate() {
-        let mut y = vec![0.0f64; nrows];
-        for (r, slot) in y.iter_mut().enumerate() {
-            *slot = y_panel[r * k + v];
-        }
+    // k = 1 moves the filled output panel into the reply (the executor
+    // allocates the next one); a wider panel is scattered per column.
+    let replies: Vec<Vec<f64>> = if k == 1 {
+        vec![es.exec.take_output()]
+    } else {
+        let panel = es.exec.output();
+        (0..k).map(|v| (0..nrows).map(|r| panel[r * k + v]).collect()).collect()
+    };
+    for (p, y) in live.iter().zip(replies) {
         let resp = Response {
             y,
             batch_k: k,
@@ -450,15 +463,14 @@ fn run_parallel(
     es: &mut ExecEntry,
     stats: &StatsInner,
     cfg: &ServiceConfig,
-    x_panel: &[f64],
+    input: PanelInput<'_, f64>,
     k: usize,
-    y_panel: &mut [f64],
     tightest: Instant,
 ) -> Result<BatchOutcome, (u32, PoolError)> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match es.exec.spmm(x_panel, k, y_panel) {
+        match es.exec.run(input.clone(), k) {
             Ok(report) => {
                 if report.degraded() {
                     stats.pool_faults.fetch_add(report.events.len() as u64, Ordering::Relaxed);
@@ -486,18 +498,6 @@ fn run_parallel(
                 std::thread::sleep(backoff);
             }
         }
-    }
-}
-
-/// Serial SpMM over the chunk kernel — the same per-chunk
-/// `compute_block` calls the supervised executor makes, in chunk
-/// order, so the result is bit-identical to the parallel path.
-pub(crate) fn serial_spmm(kernel: &dyn ChunkKernel<f64>, x: &[f64], k: usize, y: &mut [f64]) {
-    for chunk in 0..kernel.nchunks() {
-        let rows = kernel.chunk_rows(chunk);
-        let mut out = vec![0.0f64; rows.len() * k];
-        kernel.compute_block(chunk, x, k, &mut out);
-        y[rows.start * k..rows.end * k].copy_from_slice(&out);
     }
 }
 

@@ -26,6 +26,18 @@ echo "== fault-smoke (scripted fault recovery matrix) =="
 # parallel layers; every recovery must be bit-identical to serial.
 cargo test -q -p spmv-parallel --features fault-injection
 
+echo "== asan (AddressSanitizer over the unsafe executor core) =="
+# The parallel and service suites, fault drills included, on a nightly
+# AddressSanitizer build: the supervised executor's output panels,
+# DisjointSlices and the pool's borrowed jobs are unsafe code. Doctests
+# are instrumented too, and the instrumented build keeps its own target
+# dir. RUST_BACKTRACE is pinned off: symbolizing a panic backtrace under
+# ASan can outlast the 40 ms deadlines of the fault drills.
+RUST_BACKTRACE=0 RUSTFLAGS=-Zsanitizer=address RUSTDOCFLAGS=-Zsanitizer=address \
+    CARGO_TARGET_DIR=target/asan \
+    cargo +nightly test -q -p spmv-parallel -p spmv-service --features fault-injection \
+    --target x86_64-unknown-linux-gnu
+
 echo "== tier-1 under a 5 ms watchdog deadline =="
 # An aggressively low deadline forces spurious stall triage on this
 # single-CPU host; it may only cause (correct) serial recovery — any
