@@ -47,8 +47,7 @@ use std::time::Duration;
 /// What to do when a matching injection point is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic on the executing thread (payload: `"injected panic"`). The
-    /// panic hook does not run, so the unwind starts at once.
+    /// Panic on the executing thread (message: `"injected panic"`).
     PanicOnce,
     /// Sleep for the given duration before computing, simulating a stall
     /// past the watchdog deadline.
@@ -229,11 +228,7 @@ impl FaultHandle {
     pub fn before_compute(&self, chunk: Option<usize>, tid: usize) -> Option<FaultAction> {
         let action = self.state.as_ref()?.plan.take(self.dispatch, chunk, tid)?;
         match action {
-            // Unwinds without running the panic hook: with
-            // `RUST_BACKTRACE` set, the hook's backtrace symbolization can
-            // outlast a test's watchdog deadline and turn the scripted
-            // panic into an apparent stall.
-            FaultAction::PanicOnce => std::panic::resume_unwind(Box::new("injected panic")),
+            FaultAction::PanicOnce => panic!("injected panic"),
             FaultAction::DelayOnce(d) => {
                 std::thread::sleep(d);
                 None

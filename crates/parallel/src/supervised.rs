@@ -49,9 +49,8 @@
 //! lends the executor an owned `x` that workers read in place, and
 //! [`SupervisedSpMv::take_output`] moves the filled output panel out. The
 //! borrowed [`SupervisedSpMv::spmv`] / [`SupervisedSpMv::spmm`] entry
-//! points still copy `x` into the staging panel, and copy the workers'
-//! chunks out of the output panel into `y` (under `Degrade` the caller
-//! computes its own chunks straight into `y`).
+//! points copy `x` into the staging panel and, once the call has
+//! succeeded, copy the result out of the output panel into `y`.
 
 use crate::partition::RowPartition;
 use crate::pool::{watchdog_deadline, RangeLedger};
@@ -450,6 +449,16 @@ impl<V> Panel<V> {
     unsafe fn vec_mut(&self) -> &mut Vec<V> {
         &mut *self.buf.get()
     }
+
+    /// The whole buffer, read-only.
+    ///
+    /// # Safety
+    ///
+    /// The set must be idle: no thread may write this panel while the
+    /// returned reference lives.
+    unsafe fn vec(&self) -> &Vec<V> {
+        &*self.buf.get()
+    }
 }
 
 /// Raw view of the first `len` elements of a panel, taken for one call.
@@ -559,13 +568,10 @@ impl<V> Out<V> {
 /// ([`SupervisedSpMv::run`]).
 #[derive(Clone)]
 pub enum PanelInput<'a, V> {
-    /// Copied into the executor's staging panel: workers never borrow
-    /// caller memory.
-    Borrowed(&'a [V]),
-    /// Written into the staging panel by the closure, which receives
-    /// exactly `ncols x k` elements — a caller assembling its panel from
-    /// several sources gathers in place instead of building a panel to be
-    /// copied.
+    /// Written into the executor's staging panel by the closure, which
+    /// receives exactly `ncols x k` elements, so workers never borrow
+    /// caller memory — a caller assembling its panel from several sources
+    /// gathers in place instead of building a panel to be copied.
     Gather(&'a dyn Fn(&mut [V])),
     /// An owned panel that workers read in place: no copy. The call holds
     /// a reference, and so does any worker abandoned during it.
@@ -855,10 +861,6 @@ pub struct SupervisedSpMv<V: Scalar> {
     workers: Vec<WorkerSlot>,
     nthreads: usize,
     opts: WatchdogOpts,
-    /// Rows no chunk covers (empty for every built-in kernel). They stay
-    /// zero in a panel, which is zeroed once at allocation; a caller's
-    /// `y` written in place has them zeroed per call.
-    gaps: Vec<Range<usize>>,
     /// The current buffer set.
     bufs: Arc<Buffers<V>>,
     /// Whether a worker may still touch `bufs`: set when a call
@@ -866,8 +868,8 @@ pub struct SupervisedSpMv<V: Scalar> {
     /// next call retires a busy set instead of reusing it.
     bufs_busy: bool,
     /// Width of the result in the output panel; `0` when there is none
-    /// (no successful [`SupervisedSpMv::run`] yet, the last call failed
-    /// or wrote a caller's `y`, or the panel was taken).
+    /// (no successful call yet, the last call failed, or the panel was
+    /// taken).
     out_k: usize,
     /// Self-check scratch, grown to the largest checked chunk panel.
     scratch: Vec<V>,
@@ -880,75 +882,6 @@ struct Lost {
     tid: usize,
     /// What the claimer did, if it was a worker.
     fault: Option<(FaultEvent, PoolError)>,
-}
-
-/// Where the caller assembles one call's result.
-enum Target<'y, V> {
-    /// The executor's output panel ([`SupervisedSpMv::run`]).
-    Panel(Out<V>),
-    /// The caller's own `y` ([`SupervisedSpMv::spmm`] under
-    /// [`RecoveryPolicy::Degrade`], which never has to leave `y`
-    /// untouched): the caller computes its chunks and recoveries straight
-    /// into `y`, and copies the workers' published chunks over from the
-    /// panel while it waits for the rest. `copied[c]`: chunk `c`'s final
-    /// rows are in `y`.
-    Direct { y: &'y mut [V], copied: Vec<bool> },
-}
-
-impl<V: Scalar> Target<'_, V> {
-    /// Computes chunk `c` into the result.
-    ///
-    /// # Safety
-    ///
-    /// The caller must own chunk `c` (see [`compute_chunk`]).
-    unsafe fn compute(&mut self, kernel: &dyn ChunkKernel<V>, c: usize, x: &[V], k: usize) {
-        match self {
-            Target::Panel(out) => compute_chunk(kernel, c, x, k, out),
-            Target::Direct { y, copied } => {
-                let rows = kernel.chunk_rows(c);
-                kernel.compute_block(c, x, k, &mut y[rows.start * k..rows.end * k]);
-                copied[c] = true;
-            }
-        }
-    }
-
-    /// Copies every worker chunk published since the last collect from
-    /// the call's panel into `y` (a no-op for a panel target).
-    fn collect(&mut self, state: &Dispatch<V>, kernel: &dyn ChunkKernel<V>) {
-        let Target::Direct { y, copied } = self else { return };
-        for (c, copied) in copied.iter_mut().enumerate() {
-            if *copied || !state.published[c].load(Ordering::Acquire) {
-                continue;
-            }
-            let rows = kernel.chunk_rows(c);
-            let r = rows.start * state.k..rows.end * state.k;
-            // SAFETY: a worker published chunk `c`, so its panel rows are
-            // final; the caller never recovers a published chunk, and a
-            // straggler writes only chunks it never published.
-            y[r.clone()].copy_from_slice(unsafe { state.out.read(r) });
-            *copied = true;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Every chunk must be resolved (see [`SupervisedSpMv::self_check`]).
-    unsafe fn read(&self, r: Range<usize>) -> &[V] {
-        match self {
-            Target::Panel(out) => out.read(r),
-            Target::Direct { y, .. } => &y[r],
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As for [`Target::read`].
-    unsafe fn write(&mut self, r: Range<usize>, src: &[V]) {
-        match self {
-            Target::Panel(out) => out.write(r, |o| o.copy_from_slice(src)),
-            Target::Direct { y, .. } => y[r].copy_from_slice(src),
-        }
-    }
 }
 
 impl<V: Scalar> SupervisedSpMv<V> {
@@ -966,14 +899,12 @@ impl<V: Scalar> SupervisedSpMv<V> {
             work_cv: Condvar::new(),
         });
         let workers = (1..nthreads).map(|tid| spawn_sup_worker(&shared, &kernel, tid, 0)).collect();
-        let gaps = uncovered_rows(&*kernel);
         SupervisedSpMv {
             kernel,
             shared,
             workers,
             nthreads,
             opts,
-            gaps,
             bufs: Arc::new(Buffers::new()),
             bufs_busy: false,
             out_k: 0,
@@ -1029,19 +960,15 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// compares full chunk panels bit-for-bit. `k = 1` is bit-identical
     /// to [`SupervisedSpMv::spmv`].
     ///
-    /// `x` is copied into the executor's staging panel. Under `Degrade`
-    /// the caller computes its own chunks straight into `y` and copies
-    /// only the workers' chunks out of the output panel; under `FailFast`
-    /// the whole result is copied out once the call has succeeded.
+    /// `x` is copied into the executor's staging panel, and the result is
+    /// copied out of the output panel once the call has succeeded.
     /// [`SupervisedSpMv::run`] with [`PanelInput::Shared`] and
     /// [`SupervisedSpMv::take_output`] avoid the copies.
     pub fn spmm(&mut self, x: &[V], k: usize, y: &mut [V]) -> Result<HealthReport, PoolError> {
         assert!(k >= 1, "need at least one right-hand side");
+        assert_eq!(x.len(), self.kernel.ncols() * k, "x must be an ncols x k row-major panel");
         assert_eq!(y.len(), self.kernel.nrows() * k, "y must be an nrows x k row-major panel");
-        if self.opts.policy == RecoveryPolicy::Degrade {
-            return self.execute(PanelInput::Borrowed(x), k, Some(y));
-        }
-        let report = self.execute(PanelInput::Borrowed(x), k, None)?;
+        let report = self.run(PanelInput::Gather(&|panel| panel.copy_from_slice(x)), k)?;
         y.copy_from_slice(self.output());
         Ok(report)
     }
@@ -1052,38 +979,18 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// and result are those of [`SupervisedSpMv::spmm`]; an error leaves
     /// no result behind.
     pub fn run(&mut self, x: PanelInput<'_, V>, k: usize) -> Result<HealthReport, PoolError> {
-        self.execute(x, k, None)
-    }
-
-    /// One supervised call, assembling its result in the output panel
-    /// (`direct == None`) or in the caller's `y`.
-    fn execute(
-        &mut self,
-        x: PanelInput<'_, V>,
-        k: usize,
-        direct: Option<&mut [V]>,
-    ) -> Result<HealthReport, PoolError> {
         let x = self.prepare(x, k);
         let mut report = HealthReport::default();
         let nchunks = self.kernel.nchunks();
         // SAFETY: `prepare` left the set idle.
-        let out = unsafe { Out::open(&self.bufs, self.kernel.nrows() * k) };
-        let mut target = match direct {
-            Some(y) => {
-                for g in &self.gaps {
-                    y[g.start * k..g.end * k].fill(V::zero());
-                }
-                Target::Direct { y, copied: vec![false; nchunks] }
-            }
-            None => Target::Panel(out.clone()),
-        };
+        let mut out = unsafe { Out::open(&self.bufs, self.kernel.nrows() * k) };
         if nchunks == 0 {
             // All rows lie outside every chunk: zero.
-            self.out_k = if matches!(target, Target::Panel(_)) { k } else { 0 };
+            self.out_k = k;
             return Ok(report);
         }
         let state = Arc::new(Dispatch {
-            out,
+            out: out.clone(),
             x,
             k,
             nchunks,
@@ -1120,15 +1027,17 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 }
                 state.hb[0].fetch_add(1, Ordering::AcqRel);
                 // SAFETY: the caller won chunk `c`'s claim.
-                timed(&state, 0, || unsafe { target.compute(&*self.kernel, c, state.x.get(), k) });
+                timed(&state, 0, || unsafe {
+                    compute_chunk(&*self.kernel, c, state.x.get(), k, &out)
+                });
                 state.publish(c);
                 state.hb[0].fetch_add(1, Ordering::AcqRel);
             }
         }
         let mut abandoned = false;
-        let mut result = self.supervise(&state, &mut target, &mut abandoned, &mut report);
+        let mut result = self.supervise(&state, &mut out, &mut abandoned, &mut report);
         if result.is_ok() && self.opts.verify_every > 0 {
-            result = self.self_check(&state, &mut target, &mut report);
+            result = self.self_check(&state, &out, &mut report);
         }
         if self.nthreads > 1 {
             // A worker that wakes only now finds no job and sleeps on; one
@@ -1158,7 +1067,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
         // Every chunk is resolved. A worker abandoned in this call still
         // writes the set unless `retire` already replaced it.
         self.bufs_busy = abandoned;
-        self.out_k = if matches!(target, Target::Panel(_)) { k } else { 0 };
+        self.out_k = k;
         Ok(report)
     }
 
@@ -1178,16 +1087,15 @@ impl<V: Scalar> SupervisedSpMv<V> {
         self.out_k = k;
     }
 
-    /// The `nrows x k` result of the last successful
-    /// [`SupervisedSpMv::run`] or [`SupervisedSpMv::run_serial`]; empty
-    /// if there is none (the last call failed or wrote a caller's `y`,
-    /// or the panel was taken).
+    /// The `nrows x k` result of the last successful call; empty if
+    /// there is none (the last call failed, or the panel was taken).
     pub fn output(&self) -> &[V] {
         if self.out_k == 0 {
             return &[];
         }
-        // SAFETY: a call that leaves a result leaves the set idle.
-        unsafe { self.bufs.y.vec_mut() }
+        // SAFETY: a call that leaves a result leaves the set idle, and
+        // only `&mut self` methods write it.
+        unsafe { self.bufs.y.vec() }
     }
 
     /// Moves the last result (see [`SupervisedSpMv::output`]) out of the
@@ -1211,14 +1119,8 @@ impl<V: Scalar> SupervisedSpMv<V> {
     fn prepare(&mut self, x: PanelInput<'_, V>, k: usize) -> XSrc<V> {
         assert!(k >= 1, "need at least one right-hand side");
         let (nrows, n) = (self.kernel.nrows(), self.kernel.ncols() * k);
-        match &x {
-            PanelInput::Borrowed(x) => {
-                assert_eq!(x.len(), n, "x must be an ncols x k row-major panel")
-            }
-            PanelInput::Shared(x) => {
-                assert_eq!(x.len(), n, "x must be an ncols x k row-major panel")
-            }
-            PanelInput::Gather(_) => {}
+        if let PanelInput::Shared(x) = &x {
+            assert_eq!(x.len(), n, "x must be an ncols x k row-major panel");
         }
         if self.bufs_busy {
             // A worker may still touch the set: leave it to that worker.
@@ -1235,29 +1137,24 @@ impl<V: Scalar> SupervisedSpMv<V> {
         }
         match x {
             PanelInput::Shared(x) => XSrc::Shared(x),
-            staged => {
+            PanelInput::Gather(fill) => {
                 if xs.len() < n {
                     *xs = Vec::new();
                     *xs = vec![V::zero(); n];
                 }
-                match staged {
-                    PanelInput::Borrowed(x) => xs[..n].copy_from_slice(x),
-                    PanelInput::Gather(fill) => fill(&mut xs[..n]),
-                    PanelInput::Shared(_) => unreachable!("shared inputs are not staged"),
-                }
+                fill(&mut xs[..n]);
                 XSrc::Staged(View::of(xs, n))
             }
         }
     }
 
     /// Waits for all chunks, recovering panics immediately and triaging
-    /// stragglers at the deadline; a direct target collects worker
-    /// chunks while it waits. Sets `abandoned` if a stalled worker still
-    /// writes the current set when it returns.
+    /// stragglers at the deadline. Sets `abandoned` if a stalled worker
+    /// still writes the current set when it returns.
     fn supervise(
         &mut self,
         state: &Arc<Dispatch<V>>,
-        target: &mut Target<'_, V>,
+        out: &mut Out<V>,
         abandoned: &mut bool,
         report: &mut HealthReport,
     ) -> Result<(), PoolError> {
@@ -1271,18 +1168,16 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 if self.opts.policy == RecoveryPolicy::FailFast {
                     return Err(PoolError::WorkerPanicked { tid, chunk });
                 }
-                self.recover_chunk(state, target, chunk, report);
+                self.recover_chunk(state, out, chunk, report);
             }
             if state.done() == state.nchunks {
                 break;
             }
             let elapsed = start.elapsed();
             if elapsed >= self.opts.deadline {
-                self.triage(state, target, abandoned, report, elapsed)?;
+                self.triage(state, out, abandoned, report, elapsed)?;
                 break;
             }
-            // Copy out what the workers have finished while the rest run.
-            target.collect(state, &*self.kernel);
             let p = lock(&state.progress);
             if p.done < state.nchunks && p.failed.is_empty() {
                 let _unused = state
@@ -1291,7 +1186,6 @@ impl<V: Scalar> SupervisedSpMv<V> {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        target.collect(state, &*self.kernel);
         Ok(())
     }
 
@@ -1302,7 +1196,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
     fn triage(
         &mut self,
         state: &Arc<Dispatch<V>>,
-        target: &mut Target<'_, V>,
+        out: &mut Out<V>,
         abandoned: &mut bool,
         report: &mut HealthReport,
         waited: Duration,
@@ -1334,10 +1228,8 @@ impl<V: Scalar> SupervisedSpMv<V> {
             lost.push(Lost { chunk, tid, fault });
         }
         if *abandoned && self.opts.policy == RecoveryPolicy::Degrade {
-            if let Target::Panel(out) = target {
-                self.retire(state, out, &lost);
-                *abandoned = false; // the straggler's set is no longer ours
-            }
+            self.retire(state, out, &lost);
+            *abandoned = false; // the straggler's set is no longer ours
         }
         for Lost { chunk, tid, fault } in lost {
             if let Some((event, error)) = fault {
@@ -1350,7 +1242,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             // Unclaimed chunks carry no fault to report (the work just
             // has to happen somewhere) — recover them under both
             // policies.
-            self.recover_chunk(state, target, chunk, report);
+            self.recover_chunk(state, out, chunk, report);
         }
         // Every chunk now has a published result; panics that raced the
         // scan still deserve their event (their chunk was recovered by
@@ -1394,23 +1286,24 @@ impl<V: Scalar> SupervisedSpMv<V> {
         self.bufs = fresh;
     }
 
-    /// Re-executes `chunk` serially on the caller into `target` and
+    /// Re-executes `chunk` serially on the caller into `out` and
     /// publishes it (first publish wins; a late straggler's is a no-op).
     /// The chunk's claimer is resolved: it panicked (releasing its rows),
-    /// died, was abandoned (writing a retired set or, for a direct
-    /// target, a panel the caller no longer reads), or never existed
+    /// died, was abandoned (writing a retired set), or never existed
     /// because the caller claimed the chunk for recovery.
     fn recover_chunk(
         &self,
         state: &Arc<Dispatch<V>>,
-        target: &mut Target<'_, V>,
+        out: &Out<V>,
         chunk: usize,
         report: &mut HealthReport,
     ) {
         // Recovery runs on the caller: credit its busy time to tid 0.
         // SAFETY: the claimer is resolved (see above), so only the caller
-        // writes the chunk's rows of `target`.
-        timed(state, 0, || unsafe { target.compute(&*self.kernel, chunk, state.x.get(), state.k) });
+        // writes the chunk's rows of `out`.
+        timed(state, 0, || unsafe {
+            compute_chunk(&*self.kernel, chunk, state.x.get(), state.k, out)
+        });
         state.publish(chunk);
         report.recovered_chunks += 1;
     }
@@ -1457,7 +1350,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
     fn self_check(
         &mut self,
         state: &Arc<Dispatch<V>>,
-        target: &mut Target<'_, V>,
+        out: &Out<V>,
         report: &mut HealthReport,
     ) -> Result<(), PoolError> {
         let k = state.k;
@@ -1471,7 +1364,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             self.kernel.compute_block(chunk, state.x.get(), k, expect);
             // SAFETY: every chunk is resolved, and an abandoned worker
             // writes only a set the result no longer lives in.
-            let got = unsafe { target.read(r.clone()) };
+            let got = unsafe { out.read(r.clone()) };
             if got.iter().zip(expect.iter()).all(|(a, b)| a.to_bits() == b.to_bits()) {
                 continue;
             }
@@ -1480,27 +1373,11 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 return Err(PoolError::ChunkCorrupted { chunk });
             }
             // SAFETY: as above; the serial result is authoritative.
-            unsafe { target.write(r, expect) };
+            unsafe { out.write(r, |o| o.copy_from_slice(expect)) };
             report.recovered_chunks += 1;
         }
         Ok(())
     }
-}
-
-/// Rows of `kernel` that no chunk covers, as sorted disjoint ranges.
-fn uncovered_rows<V: Scalar>(kernel: &dyn ChunkKernel<V>) -> Vec<Range<usize>> {
-    let mut covered: Vec<Range<usize>> =
-        (0..kernel.nchunks()).map(|c| kernel.chunk_rows(c)).filter(|r| !r.is_empty()).collect();
-    covered.sort_unstable_by_key(|r| r.start);
-    let mut gaps = Vec::new();
-    let mut row = 0;
-    for r in covered.iter().chain(std::iter::once(&(kernel.nrows()..kernel.nrows()))) {
-        if r.start > row {
-            gaps.push(row..r.start);
-        }
-        row = row.max(r.end);
-    }
-    gaps
 }
 
 fn spawn_sup_worker<V: Scalar>(
@@ -1857,7 +1734,7 @@ mod tests {
                 let gather = |panel: &mut [f64]| panel.copy_from_slice(&x);
                 sup.run(PanelInput::Gather(&gather), k).expect("healthy run");
                 assert_eq!(sup.output(), &want[..], "{name} k={k}: gathered");
-                sup.run_serial(PanelInput::Borrowed(&x), k);
+                sup.run_serial(PanelInput::Gather(&gather), k);
                 assert_eq!(sup.output(), &want[..], "{name} k={k}: serial");
                 let mut y = vec![5.0; 150 * k];
                 sup.spmm(&x, k, &mut y).expect("healthy run");
@@ -1905,7 +1782,6 @@ mod tests {
         want[40..60].fill(0.0);
         let m = Arc::new(csr);
         let gapped = || Gapped { inner: CsrChunks::new(Arc::clone(&m), 1), gap: 40..60 };
-        assert_eq!(uncovered_rows(&gapped()), vec![40..60]);
         for policy in [RecoveryPolicy::Degrade, RecoveryPolicy::FailFast] {
             let kernel = gapped();
             let opts = WatchdogOpts { policy, ..calm() };
@@ -1914,20 +1790,13 @@ mod tests {
                 let mut y = vec![9.0; 100];
                 sup.spmv(&x, &mut y).expect("healthy run");
                 assert_eq!(y, want, "{policy:?} borrowed call {call}");
-                sup.run(PanelInput::Borrowed(&x), 1).expect("healthy run");
+                let gather = |panel: &mut [f64]| panel.copy_from_slice(&x);
+                sup.run(PanelInput::Gather(&gather), 1).expect("healthy run");
                 assert_eq!(sup.output(), &want[..], "{policy:?} panel call {call}");
-                sup.run_serial(PanelInput::Borrowed(&x), 1);
+                sup.run_serial(PanelInput::Gather(&gather), 1);
                 assert_eq!(sup.output(), &want[..], "{policy:?} serial call {call}");
             }
         }
-    }
-
-    #[test]
-    fn uncovered_rows_finds_every_gap() {
-        let csr: Csr<u32, f64> = irregular(30, 30, 3).to_csr();
-        assert!(uncovered_rows(&CsrChunks::new(Arc::new(csr.clone()), 4)).is_empty());
-        let gapped = Gapped { inner: CsrChunks::new(Arc::new(csr), 1), gap: 0..5 };
-        assert_eq!(uncovered_rows(&gapped), vec![0..5]);
     }
 
     #[test]

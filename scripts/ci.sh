@@ -24,7 +24,10 @@ cargo test --workspace -q
 echo "== fault-smoke (scripted fault recovery matrix) =="
 # Deterministic injected panics/stalls/deaths/corruption through both
 # parallel layers; every recovery must be bit-identical to serial.
-cargo test -q -p spmv-parallel --features fault-injection
+# RUST_BACKTRACE is pinned off: symbolizing a panic backtrace can outlast
+# the 40 ms deadlines of the drills, so a real panic reads as a stall
+# (an open defect, see ROADMAP.md).
+RUST_BACKTRACE=0 cargo test -q -p spmv-parallel --features fault-injection
 
 echo "== asan (AddressSanitizer over the unsafe executor core) =="
 # The parallel and service suites, fault drills included, on a nightly
