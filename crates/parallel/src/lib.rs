@@ -39,11 +39,18 @@
 //!   [`pool::IterationDriver`] measurement loop, and a spawn-per-call
 //!   baseline ([`pool::run_on_threads`]) kept for one-shot fan-out and for
 //!   quantifying dispatch overhead;
-//! * [`par`] — per-format parallel executors ([`par::ParCsr`],
-//!   [`par::ParCsrDu`], [`par::ParCsrVi`], [`par::ParCsrDuVi`],
-//!   [`par::ParCscColumns`], [`par::ParCsrBlock2d`], [`par::ParDcsr`],
-//!   [`par::ParSymCsr`]) that pre-plan partition, pool and scratch, and
-//!   run `y = A·x` on the pool per call.
+//! * [`chunks`] — the [`ChunkKernel`] trait and the four paper-format
+//!   adapters ([`CsrChunks`], [`CsrDuChunks`], [`CsrViChunks`],
+//!   [`CsrDuViChunks`]): how to split a matrix and compute one split, the
+//!   only per-format code of both executors below;
+//! * [`par`] — pool executors that pre-plan partition, pool and scratch,
+//!   and run `y = A·x` on the pool per call: [`par::ParChunks`] over a
+//!   chunk kernel, which the paper formats' [`par::ParCsr`],
+//!   [`par::ParCsrDu`], [`par::ParCsrVi`] and [`par::ParCsrDuVi`] alias
+//!   (one static chunk per pool thread), plus [`par::ParCscColumns`],
+//!   [`par::ParCsrBlock2d`], [`par::ParDcsr`] and [`par::ParSymCsr`];
+//! * [`supervised`] — [`SupervisedSpMv`], the fault-tolerant executor
+//!   over the same chunk kernels (see *Fault tolerance*).
 //!
 //! Output and scratch buffers are handed to pool threads through
 //! [`pool::DisjointSlices`], a small `unsafe` cell whose single invariant
@@ -69,8 +76,8 @@
 //!   the dispatch, flags (but waits for) merely-slow workers, and
 //!   respawns lost threads on the next dispatch — surfacing everything as
 //!   [`pool::PoolEvent`]s.
-//! * [`supervised::SupervisedSpMv`] runs chunk-granular SpMV with typed
-//!   fault handling: under [`supervised::RecoveryPolicy::Degrade`] any
+//! * [`supervised::SupervisedSpMv`] runs the same chunk kernels as the
+//!   `Par*` executors, with typed fault handling: under [`supervised::RecoveryPolicy::Degrade`] any
 //!   panicked, stalled, dead, or (with `verify_every`) corrupted chunk is
 //!   re-executed serially on the caller — the result is bit-identical to
 //!   a serial run and the call reports a [`supervised::HealthReport`];
@@ -98,6 +105,7 @@
 //! feature off the types still compile (so signatures never change) but
 //! every recording site is compiled out and the queries return `None`.
 
+pub mod chunks;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod par;
@@ -107,9 +115,10 @@ pub mod spmspv;
 pub mod supervised;
 pub mod telemetry;
 
+pub use chunks::{ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
 pub use par::{
-    ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParDcsr, ParSpMm,
-    ParSpMv, ParSymCsr,
+    ParChunks, ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParDcsr,
+    ParSpMm, ParSpMv, ParSymCsr,
 };
 pub use partition::{ColPartition, Grid2d, RowPartition};
 pub use pool::{
@@ -118,7 +127,6 @@ pub use pool::{
 };
 pub use spmspv::{ParMaskedSpMSpV, ParSpMSpV};
 pub use supervised::{
-    ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport,
-    PanelInput, PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
+    FaultEvent, HealthReport, PanelInput, PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
 };
 pub use telemetry::PoolTelemetry;

@@ -1,5 +1,10 @@
 //! Per-format parallel SpMV executors.
 //!
+//! The four paper formats share one executor, [`ParChunks`], over the
+//! chunk adapters of [`crate::chunks`] — the per-format code the
+//! supervised executor runs too. The other formats (CSC, 2-D blocked CSR,
+//! DCSR, symmetric CSR) keep their own executors.
+//!
 //! Each executor pre-computes its partition at construction (the paper
 //! also partitions once, outside the timed loop) and owns a persistent
 //! [`WorkerPool`] plus whatever scratch its reduction needs, so a
@@ -13,15 +18,17 @@
 //! blocks are disjoint by construction — every kernel call writes only
 //! memory it owns.
 
+use crate::chunks::{ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, PlanChunks};
 use crate::partition::{ColPartition, Grid2d, RowPartition};
 use crate::pool::{chunk, DisjointSlices, WorkerPool};
 use crate::telemetry::PoolTelemetry;
-use spmv_core::csr_du::{CsrDu, DuSplit};
+use spmv_core::csr_du::CsrDu;
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::dcsr::{Dcsr, DcsrSplit};
 use spmv_core::sym::SymCsr;
 use spmv_core::{Csc, Csr, Isa, Scalar, SpIndex};
+use std::ops::Range;
 
 /// Common interface of the parallel executors (mirrors [`spmv_core::SpMv`]
 /// with a fixed thread count chosen at plan time).
@@ -46,8 +53,9 @@ pub trait ParSpMv<V: Scalar>: Send {
 /// Multi-vector extension of [`ParSpMv`]: `Y = A·X` for a row-major panel
 /// of `k` right-hand sides (`x[col * k + v]`, `y[row * k + v]` — the
 /// [`spmv_core::DenseBlock`] layout), reusing the executor's planned
-/// partition and persistent pool. Implemented by the four paper-format
-/// executors ([`ParCsr`], [`ParCsrDu`], [`ParCsrVi`], [`ParCsrDuVi`]):
+/// partition and persistent pool. Implemented by [`ParChunks`], i.e. the
+/// four paper-format executors ([`ParCsr`], [`ParCsrDu`], [`ParCsrVi`],
+/// [`ParCsrDuVi`]):
 /// each thread decodes its row block **once** and broadcasts every
 /// decoded scalar across the `k`-wide panel, so the per-thread decode
 /// cost of the compressed formats is amortized `k`-fold. With `k = 1`
@@ -73,345 +81,141 @@ fn split_row_bounds(row_ends: impl Iterator<Item = usize>) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------
-// CSR — row partitioning
+// Chunk kernels — the paper formats, one static chunk per pool thread
 // ---------------------------------------------------------------------
+
+/// Pool executor over a [`ChunkKernel`]: pool thread `t` computes chunk
+/// `t` straight into its rows of `y`, and rows outside every chunk are
+/// zeroed. The pool has one thread per chunk (at least one).
+///
+/// The four paper-format executors — [`ParCsr`], [`ParCsrDu`],
+/// [`ParCsrVi`] and [`ParCsrDuVi`] — are this type over the chunk
+/// adapters of [`crate::chunks`] with a borrowed matrix, so the pool path
+/// and [`crate::SupervisedSpMv`] run the same per-format code.
+pub struct ParChunks<K> {
+    kernel: K,
+    /// `rows[t]`: chunk `t`'s rows, checked pairwise disjoint and within
+    /// the matrix at plan time — the pool writes them concurrently.
+    rows: Vec<Range<usize>>,
+    /// The rows outside every chunk.
+    gaps: Vec<Range<usize>>,
+    pool: WorkerPool,
+}
+
+impl<K> ParChunks<K> {
+    /// Plans `nthreads` chunks of `matrix` — `ParCsr::new(&csr, t)` and
+    /// the like — with the kernel ISA snapshotted here (like the
+    /// partition: chosen once, outside the timed loop).
+    pub fn new<V: Scalar, M>(matrix: M, nthreads: usize) -> ParChunks<K>
+    where
+        K: PlanChunks<M> + ChunkKernel<V>,
+    {
+        ParChunks::with_isa(matrix, nthreads, spmv_core::simd::selected())
+    }
+
+    /// Like [`ParChunks::new`] with an explicit kernel ISA (unavailable
+    /// choices degrade to scalar inside the kernel dispatch).
+    pub fn with_isa<V: Scalar, M>(matrix: M, nthreads: usize, isa: Isa) -> ParChunks<K>
+    where
+        K: PlanChunks<M> + ChunkKernel<V>,
+    {
+        ParChunks::from_kernel(K::plan(matrix, nthreads, isa))
+    }
+
+    /// Plans `kernel`'s chunks onto a pool of one thread per chunk.
+    /// Panics if two chunks overlap or a chunk lies outside the matrix.
+    pub(crate) fn from_kernel<V: Scalar>(kernel: K) -> ParChunks<K>
+    where
+        K: ChunkKernel<V>,
+    {
+        let rows: Vec<_> = (0..kernel.nchunks()).map(|c| kernel.chunk_rows(c)).collect();
+        let gaps = uncovered(&rows, kernel.nrows());
+        let pool = WorkerPool::new(rows.len().max(1));
+        ParChunks { kernel, rows, gaps, pool }
+    }
+
+    /// Zeroes the rows outside every chunk of the `k`-wide panel `y`, then
+    /// has pool thread `t` run `f(kernel, t, out)` with `out` chunk `t`'s
+    /// rows of `y`.
+    fn dispatch<V: Scalar>(&mut self, y: &mut [V], k: usize, f: impl Fn(&K, usize, &mut [V]) + Sync)
+    where
+        K: Sync,
+    {
+        for g in &self.gaps {
+            y[g.start * k..g.end * k].fill(V::zero());
+        }
+        if self.rows.is_empty() {
+            return;
+        }
+        let slices = DisjointSlices::new(y);
+        let (kernel, rows) = (&self.kernel, &self.rows);
+        self.pool.run(|t| {
+            // SAFETY: chunk row ranges were checked pairwise disjoint at
+            // plan time (and panel ranges scale them by k); one thread
+            // per chunk.
+            let out = unsafe { slices.range(rows[t].start * k..rows[t].end * k) };
+            f(kernel, t, out);
+        });
+    }
+}
+
+/// The rows of `0..nrows` outside every range of `rows`. Panics unless
+/// the ranges are pairwise disjoint and within `0..nrows`.
+fn uncovered(rows: &[Range<usize>], nrows: usize) -> Vec<Range<usize>> {
+    let mut sorted = rows.to_vec();
+    sorted.sort_by_key(|r| (r.start, r.end));
+    let mut gaps = Vec::new();
+    let mut next = 0;
+    for r in sorted {
+        assert!(next <= r.start && r.start <= r.end, "chunk rows {r:?} overlap another chunk");
+        if next < r.start {
+            gaps.push(next..r.start);
+        }
+        next = r.end;
+    }
+    assert!(next <= nrows, "chunk rows end at {next}, past nrows = {nrows}");
+    if next < nrows {
+        gaps.push(next..nrows);
+    }
+    gaps
+}
+
+impl<V: Scalar, K: ChunkKernel<V>> ParSpMv<V> for ParChunks<K> {
+    fn nthreads(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+        self.pool.take_telemetry()
+    }
+
+    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
+        assert_eq!(x.len(), self.kernel.ncols(), "x length must equal ncols");
+        assert_eq!(y.len(), self.kernel.nrows(), "y length must equal nrows");
+        self.dispatch(y, 1, |kernel, t, out| kernel.compute(t, x, out));
+    }
+}
+
+impl<V: Scalar, K: ChunkKernel<V>> ParSpMm<V> for ParChunks<K> {
+    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
+        assert_panel_lens(self.kernel.nrows(), self.kernel.ncols(), x, k, y);
+        self.dispatch(y, k, |kernel, t, out| kernel.compute_block(t, x, k, out));
+    }
+}
 
 /// Row-partitioned parallel CSR SpMV (the paper's baseline MT kernel).
-pub struct ParCsr<'m, I: SpIndex = u32, V: Scalar = f64> {
-    matrix: &'m Csr<I, V>,
-    partition: RowPartition,
-    pool: WorkerPool,
-    isa: Isa,
-}
-
-impl<'m, I: SpIndex, V: Scalar> ParCsr<'m, I, V> {
-    /// Plans an nnz-balanced row partition over `nthreads` threads. The
-    /// kernel ISA is snapshotted here (like the partition: chosen once,
-    /// outside the timed loop).
-    pub fn new(matrix: &'m Csr<I, V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
-    }
-
-    /// Like [`ParCsr::new`] with an explicit kernel ISA (unavailable
-    /// choices degrade to scalar inside the kernel dispatch).
-    pub fn with_isa(matrix: &'m Csr<I, V>, nthreads: usize, isa: Isa) -> Self {
-        let partition = RowPartition::for_csr(matrix, nthreads);
-        let pool = WorkerPool::new(partition.nparts());
-        ParCsr { partition, matrix, pool, isa }
-    }
-
-    /// The planned partition.
-    pub fn partition(&self) -> &RowPartition {
-        &self.partition
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsr<'_, I, V> {
-    fn nthreads(&self) -> usize {
-        self.partition.nparts()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block.
-            let y_local = unsafe { slices.range(range.clone()) };
-            m.spmv_rows_local_isa(isa, range.start, range.end, x, y_local);
-        });
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMm<V> for ParCsr<'_, I, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block
-            // (panel ranges scale the disjoint row ranges by k).
-            let y_local = unsafe { slices.range(range.start * k..range.end * k) };
-            m.spmm_rows_local_isa(isa, range.start, range.end, x, k, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSR-DU — ctl-stream splits
-// ---------------------------------------------------------------------
+pub type ParCsr<'m, I = u32, V = f64> = ParChunks<CsrChunks<&'m Csr<I, V>>>;
 
 /// Row-partitioned parallel CSR-DU SpMV. Each thread receives "an offset
-/// in the ctl, values and y arrays" (§IV) via a pre-computed [`DuSplit`].
-pub struct ParCsrDu<'m, V: Scalar = f64> {
-    matrix: &'m CsrDu<V>,
-    splits: Vec<DuSplit>,
-    row_bounds: Vec<usize>,
-    pool: WorkerPool,
-    isa: Isa,
-}
-
-impl<'m, V: Scalar> ParCsrDu<'m, V> {
-    /// Plans nnz-balanced ctl-stream splits over `nthreads` threads. The
-    /// kernel ISA is snapshotted at plan time.
-    pub fn new(matrix: &'m CsrDu<V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
-    }
-
-    /// Like [`ParCsrDu::new`] with an explicit kernel ISA.
-    pub fn with_isa(matrix: &'m CsrDu<V>, nthreads: usize, isa: Isa) -> Self {
-        let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end));
-        let pool = WorkerPool::new(splits.len().max(1));
-        ParCsrDu { splits, row_bounds, matrix, pool, isa }
-    }
-
-    /// The planned splits (at most `nthreads`, fewer for tiny matrices).
-    pub fn splits(&self) -> &[DuSplit] {
-        &self.splits
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
-    }
-}
-
-impl<V: Scalar> ParSpMv<V> for ParCsrDu<'_, V> {
-    fn nthreads(&self) -> usize {
-        self.splits.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        // Trailing rows after the last split (splits() always ends at
-        // nrows, so this is empty — zero it defensively anyway).
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid]..bounds[tid + 1]) };
-            m.spmv_split_local_isa(isa, &splits[tid], x, y_local);
-        });
-    }
-}
-
-impl<V: Scalar> ParSpMm<V> for ParCsrDu<'_, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered * k..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid] * k..bounds[tid + 1] * k) };
-            m.spmm_split_local_isa(isa, &splits[tid], x, k, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSR-VI — row partitioning
-// ---------------------------------------------------------------------
+/// in the ctl, values and y arrays" (§IV) via a pre-computed split.
+pub type ParCsrDu<'m, V = f64> = ParChunks<CsrDuChunks<&'m CsrDu<V>>>;
 
 /// Row-partitioned parallel CSR-VI SpMV ("trivially derived from the
 /// serial by providing to each thread the first and the last row", §V).
-pub struct ParCsrVi<'m, I: SpIndex = u32, V: Scalar = f64> {
-    matrix: &'m CsrVi<I, V>,
-    partition: RowPartition,
-    pool: WorkerPool,
-    isa: Isa,
-}
-
-impl<'m, I: SpIndex, V: Scalar> ParCsrVi<'m, I, V> {
-    /// Plans an nnz-balanced row partition over `nthreads` threads. The
-    /// kernel ISA is snapshotted at plan time.
-    pub fn new(matrix: &'m CsrVi<I, V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
-    }
-
-    /// Like [`ParCsrVi::new`] with an explicit kernel ISA.
-    pub fn with_isa(matrix: &'m CsrVi<I, V>, nthreads: usize, isa: Isa) -> Self {
-        let partition = RowPartition::by_nnz(matrix.row_ptr(), nthreads);
-        let pool = WorkerPool::new(partition.nparts());
-        ParCsrVi { partition, matrix, pool, isa }
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsrVi<'_, I, V> {
-    fn nthreads(&self) -> usize {
-        self.partition.nparts()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block.
-            let y_local = unsafe { slices.range(range.clone()) };
-            m.spmv_rows_local_isa(isa, range.start, range.end, x, y_local);
-        });
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMm<V> for ParCsrVi<'_, I, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block.
-            let y_local = unsafe { slices.range(range.start * k..range.end * k) };
-            m.spmm_rows_local_isa(isa, range.start, range.end, x, k, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSR-DU-VI — ctl-stream splits
-// ---------------------------------------------------------------------
+pub type ParCsrVi<'m, I = u32, V = f64> = ParChunks<CsrViChunks<&'m CsrVi<I, V>>>;
 
 /// Row-partitioned parallel CSR-DU-VI SpMV.
-pub struct ParCsrDuVi<'m, V: Scalar = f64> {
-    matrix: &'m CsrDuVi<V>,
-    splits: Vec<DuSplit>,
-    row_bounds: Vec<usize>,
-    pool: WorkerPool,
-    isa: Isa,
-}
-
-impl<'m, V: Scalar> ParCsrDuVi<'m, V> {
-    /// Plans nnz-balanced ctl-stream splits over `nthreads` threads. The
-    /// kernel ISA is snapshotted at plan time.
-    pub fn new(matrix: &'m CsrDuVi<V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
-    }
-
-    /// Like [`ParCsrDuVi::new`] with an explicit kernel ISA.
-    pub fn with_isa(matrix: &'m CsrDuVi<V>, nthreads: usize, isa: Isa) -> Self {
-        let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end));
-        let pool = WorkerPool::new(splits.len().max(1));
-        ParCsrDuVi { splits, row_bounds, matrix, pool, isa }
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
-    }
-}
-
-impl<V: Scalar> ParSpMv<V> for ParCsrDuVi<'_, V> {
-    fn nthreads(&self) -> usize {
-        self.splits.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid]..bounds[tid + 1]) };
-            m.spmv_split_local_isa(isa, &splits[tid], x, y_local);
-        });
-    }
-}
-
-impl<V: Scalar> ParSpMm<V> for ParCsrDuVi<'_, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered * k..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid] * k..bounds[tid + 1] * k) };
-            m.spmm_split_local_isa(isa, &splits[tid], x, k, y_local);
-        });
-    }
-}
+pub type ParCsrDuVi<'m, V = f64> = ParChunks<CsrDuViChunks<&'m CsrDuVi<V>>>;
 
 // ---------------------------------------------------------------------
 // CSC — column partitioning with private-y reduction

@@ -200,6 +200,7 @@ fn empty_matrix_all_executors() {
     let csr = coo.to_csr();
     let du = spmv_core::csr_du::CsrDu::from_csr(&csr, &DuOptions::default());
     let vi = CsrVi::from_csr(&csr);
+    let duvi = CsrDuVi::from_csr(&csr, &DuOptions::default());
     let x = vec![1.0; 10];
 
     let mut y = vec![5.0; 10];
@@ -213,6 +214,35 @@ fn empty_matrix_all_executors() {
     let mut y = vec![5.0; 10];
     ParCsrVi::new(&vi, 4).par_spmv(&x, &mut y);
     assert_eq!(y, vec![0.0; 10]);
+
+    let mut y = vec![5.0; 10];
+    ParCsrDuVi::new(&duvi, 4).par_spmv(&x, &mut y);
+    assert_eq!(y, vec![0.0; 10]);
+}
+
+#[test]
+fn rows_outside_every_chunk_come_out_zero() {
+    use crate::chunks::tests::Gapped;
+    use std::sync::Arc;
+    let coo = irregular(100, 80, 29);
+    let csr = Arc::new(coo.to_csr());
+    let mut par =
+        ParChunks::from_kernel(Gapped { inner: CsrChunks::new(Arc::clone(&csr), 1), gap: 40..60 });
+    for k in [1usize, 3] {
+        let x: Vec<f64> = (0..80 * k).map(|i| ((i % 19) as f64) * 0.4 - 2.0).collect();
+        let mut want = vec![0.0; 100 * k];
+        csr.spmm(&x, k, &mut want);
+        want[40 * k..60 * k].fill(0.0);
+        for call in 0..2 {
+            let mut y = vec![f64::NAN; 100 * k];
+            if k == 1 {
+                par.par_spmv(&x, &mut y);
+            } else {
+                par.par_spmm(&x, k, &mut y);
+            }
+            assert_eq!(y, want, "k={k} call={call}");
+        }
+    }
 }
 
 #[test]

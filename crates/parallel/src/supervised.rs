@@ -1,16 +1,21 @@
 //! Supervised parallel SpMV: watchdog, graceful degradation, self-healing.
 //!
-//! The borrowed-job [`crate::pool::WorkerPool`] is the *fast* path: zero
-//! allocation per dispatch, but a live straggler can never be abandoned —
-//! the dispatched closure borrows the caller's stack, so `run` must wait
-//! for every worker it woke (its watchdog can only take over work from
-//! threads that *died*). This module is the *resilient* path: everything a
-//! worker touches is owned by an `Arc`'d per-call state, so the caller may
-//! walk away from a wedged worker without any dangling borrow. That buys
-//! the full fault model:
+//! Both executors run the same per-format [`ChunkKernel`]s (see
+//! [`crate::chunks`]). The borrowed-job [`crate::pool::WorkerPool`] behind
+//! the `Par*` executors is the *fast* path: zero allocation per dispatch,
+//! but a live straggler can never be abandoned — the dispatched closure
+//! borrows the caller's stack, so `run` must wait for every worker it
+//! woke (its watchdog can only take over work from threads that *died*).
+//! This module is the *resilient* path: its kernels own their matrix
+//! (`Arc<dyn ChunkKernel<V>>` is `'static`) and everything else a worker
+//! touches is owned by an `Arc`'d per-call state, so the caller may walk
+//! away from a wedged worker without any dangling borrow. That buys the
+//! full fault model:
 //!
 //! * **worker panic** — caught on the worker, reported, and the chunk is
-//!   re-executed serially by the caller (no deadline wait);
+//!   re-executed serially by the caller (no deadline wait). A panic whose
+//!   hook outlasts the deadline is still reported as a panic: a chained
+//!   hook flags the worker first, and triage abandons it like a stall;
 //! * **worker death** (thread terminated without finishing) — detected at
 //!   the deadline, chunk re-executed serially, worker respawned;
 //! * **worker stall** (alive but past the deadline) — the worker is
@@ -52,236 +57,17 @@
 //! points copy `x` into the staging panel and, once the call has
 //! succeeded, copy the result out of the output panel into `y`.
 
-use crate::partition::RowPartition;
+pub use crate::chunks::{ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
 use crate::pool::{watchdog_deadline, RangeLedger};
 use crate::telemetry::PoolTelemetry;
-use spmv_core::csr_du::{CsrDu, DuSplit};
-use spmv_core::csr_duvi::CsrDuVi;
-use spmv_core::csr_vi::CsrVi;
-use spmv_core::{Csr, Isa, Scalar, SpIndex};
-use std::cell::UnsafeCell;
+use spmv_core::Scalar;
+use std::cell::{OnceCell, UnsafeCell};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------
-// Chunk kernels
-// ---------------------------------------------------------------------
-
-/// A matrix pre-partitioned into independently computable row chunks.
-///
-/// Implementors own their matrix (`'static`, typically behind an `Arc`),
-/// so a chunk computation can outlive any particular `spmv` call — the
-/// property that makes stall abandonment sound. `compute` must be
-/// **deterministic** (same chunk + same `x` ⇒ bit-identical output): the
-/// watchdog re-executes chunks after faults and the self-check compares
-/// recomputed chunks bit-for-bit.
-pub trait ChunkKernel<V: Scalar>: Send + Sync + 'static {
-    /// Rows of the matrix (length of `y`).
-    fn nrows(&self) -> usize;
-    /// Columns of the matrix (length of `x`).
-    fn ncols(&self) -> usize;
-    /// Number of chunks. Chunk row ranges are pairwise disjoint; rows not
-    /// covered by any chunk are zero in every result.
-    fn nchunks(&self) -> usize;
-    /// Row range `chunk` covers.
-    fn chunk_rows(&self, chunk: usize) -> Range<usize>;
-    /// Computes `out = (A·x)[chunk_rows(chunk)]`; `out` has exactly
-    /// `chunk_rows(chunk).len()` elements and must be **overwritten**:
-    /// the executor reuses its output panel across calls, so `out` holds
-    /// a previous result on entry, not zeros.
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]);
-    /// Multi-vector variant: `x` is an `ncols x k` row-major panel and
-    /// `out` a `chunk_rows(chunk).len() x k` row-major panel to overwrite.
-    /// Must be deterministic like [`ChunkKernel::compute`], and its
-    /// `k = 1` case must be bit-identical to `compute` (the supervisor
-    /// routes both SpMV and SpMM recovery through this method). The
-    /// default decomposes into `k` independent `compute` calls; format
-    /// kernels override it with fused panels that decode each unit once.
-    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
-        if k == 1 {
-            self.compute(chunk, x, out);
-            return;
-        }
-        let ncols = self.ncols();
-        let rows = self.chunk_rows(chunk).len();
-        let mut xv = vec![V::zero(); ncols];
-        let mut yv = vec![V::zero(); rows];
-        for v in 0..k {
-            for c in 0..ncols {
-                xv[c] = x[c * k + v];
-            }
-            yv.fill(V::zero());
-            self.compute(chunk, &xv, &mut yv);
-            for r in 0..rows {
-                out[r * k + v] = yv[r];
-            }
-        }
-    }
-}
-
-/// Row-partitioned chunks over a CSR matrix (nnz-balanced).
-pub struct CsrChunks<I: SpIndex, V: Scalar> {
-    matrix: Arc<Csr<I, V>>,
-    partition: RowPartition,
-    isa: Isa,
-}
-
-impl<I: SpIndex, V: Scalar> CsrChunks<I, V> {
-    /// Partitions `matrix` into `nchunks` nnz-balanced row chunks. The
-    /// kernel ISA is snapshotted here, so every chunk execution — worker,
-    /// serial retry and bit-exact self-check alike — runs the same kernel.
-    pub fn new(matrix: Arc<Csr<I, V>>, nchunks: usize) -> CsrChunks<I, V> {
-        let partition = RowPartition::for_csr(&matrix, nchunks.max(1));
-        CsrChunks { matrix, partition, isa: spmv_core::simd::selected() }
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ChunkKernel<V> for CsrChunks<I, V> {
-    fn nrows(&self) -> usize {
-        self.matrix.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.matrix.ncols()
-    }
-    fn nchunks(&self) -> usize {
-        self.partition.nparts()
-    }
-    fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-        self.partition.part(chunk)
-    }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        let r = self.partition.part(chunk);
-        self.matrix.spmv_rows_local_isa(self.isa, r.start, r.end, x, out);
-    }
-    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
-        let r = self.partition.part(chunk);
-        self.matrix.spmm_rows_local_isa(self.isa, r.start, r.end, x, k, out);
-    }
-}
-
-/// Row-partitioned chunks over a CSR-VI matrix (nnz-balanced).
-pub struct CsrViChunks<I: SpIndex = u32, V: Scalar = f64> {
-    matrix: Arc<CsrVi<I, V>>,
-    partition: RowPartition,
-    isa: Isa,
-}
-
-impl<I: SpIndex, V: Scalar> CsrViChunks<I, V> {
-    /// Partitions `matrix` into `nchunks` nnz-balanced row chunks
-    /// (kernel ISA snapshotted, as on [`CsrChunks::new`]).
-    pub fn new(matrix: Arc<CsrVi<I, V>>, nchunks: usize) -> CsrViChunks<I, V> {
-        let partition = RowPartition::by_nnz(matrix.row_ptr(), nchunks.max(1));
-        CsrViChunks { matrix, partition, isa: spmv_core::simd::selected() }
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ChunkKernel<V> for CsrViChunks<I, V> {
-    fn nrows(&self) -> usize {
-        self.matrix.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.matrix.ncols()
-    }
-    fn nchunks(&self) -> usize {
-        self.partition.nparts()
-    }
-    fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-        self.partition.part(chunk)
-    }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        let r = self.partition.part(chunk);
-        self.matrix.spmv_rows_local_isa(self.isa, r.start, r.end, x, out);
-    }
-    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
-        let r = self.partition.part(chunk);
-        self.matrix.spmm_rows_local_isa(self.isa, r.start, r.end, x, k, out);
-    }
-}
-
-/// Ctl-stream chunks over a CSR-DU matrix (each chunk is a [`DuSplit`]).
-pub struct CsrDuChunks<V: Scalar> {
-    matrix: Arc<CsrDu<V>>,
-    splits: Vec<DuSplit>,
-    bounds: Vec<usize>,
-    isa: Isa,
-}
-
-impl<V: Scalar> CsrDuChunks<V> {
-    /// Plans `nchunks` nnz-balanced ctl-stream splits (possibly fewer for
-    /// tiny matrices; zero for an empty one). Kernel ISA snapshotted, as
-    /// on [`CsrChunks::new`].
-    pub fn new(matrix: Arc<CsrDu<V>>, nchunks: usize) -> CsrDuChunks<V> {
-        let splits = matrix.splits(nchunks.max(1));
-        let mut bounds = vec![0usize];
-        bounds.extend(splits.iter().map(|s| s.row_end));
-        CsrDuChunks { matrix, splits, bounds, isa: spmv_core::simd::selected() }
-    }
-}
-
-impl<V: Scalar> ChunkKernel<V> for CsrDuChunks<V> {
-    fn nrows(&self) -> usize {
-        self.matrix.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.matrix.ncols()
-    }
-    fn nchunks(&self) -> usize {
-        self.splits.len()
-    }
-    fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-        self.bounds[chunk]..self.bounds[chunk + 1]
-    }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        self.matrix.spmv_split_local_isa(self.isa, &self.splits[chunk], x, out);
-    }
-    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
-        self.matrix.spmm_split_local_isa(self.isa, &self.splits[chunk], x, k, out);
-    }
-}
-
-/// Ctl-stream chunks over a CSR-DU-VI matrix.
-pub struct CsrDuViChunks<V: Scalar> {
-    matrix: Arc<CsrDuVi<V>>,
-    splits: Vec<DuSplit>,
-    bounds: Vec<usize>,
-    isa: Isa,
-}
-
-impl<V: Scalar> CsrDuViChunks<V> {
-    /// Plans `nchunks` nnz-balanced ctl-stream splits (kernel ISA
-    /// snapshotted, as on [`CsrChunks::new`]).
-    pub fn new(matrix: Arc<CsrDuVi<V>>, nchunks: usize) -> CsrDuViChunks<V> {
-        let splits = matrix.splits(nchunks.max(1));
-        let mut bounds = vec![0usize];
-        bounds.extend(splits.iter().map(|s| s.row_end));
-        CsrDuViChunks { matrix, splits, bounds, isa: spmv_core::simd::selected() }
-    }
-}
-
-impl<V: Scalar> ChunkKernel<V> for CsrDuViChunks<V> {
-    fn nrows(&self) -> usize {
-        self.matrix.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.matrix.ncols()
-    }
-    fn nchunks(&self) -> usize {
-        self.splits.len()
-    }
-    fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-        self.bounds[chunk]..self.bounds[chunk + 1]
-    }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        self.matrix.spmv_split_local_isa(self.isa, &self.splits[chunk], x, out);
-    }
-    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
-        self.matrix.spmm_split_local_isa(self.isa, &self.splits[chunk], x, k, out);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Watchdog configuration, errors, health
@@ -745,6 +531,33 @@ enum ChunkRun {
     Exit,
 }
 
+thread_local! {
+    /// This thread's [`WorkerSlot::panicking`] flag; set on supervised
+    /// worker threads only.
+    static PANICKING: OnceCell<Arc<AtomicBool>> = const { OnceCell::new() };
+}
+
+/// Chains a panic hook, once per process, that raises a supervised
+/// worker's `panicking` flag before the earlier hook runs. A hook can
+/// outlast the watchdog deadline (symbolizing a backtrace, say) before the
+/// unwind reaches `catch_unwind`; the flag lets triage report such a
+/// worker as panicked, not stalled. A hook set later replaces this one,
+/// and triage then falls back to calling the worker stalled.
+fn install_panic_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let prev = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            let _ = PANICKING.try_with(|flag| {
+                if let Some(flag) = flag.get() {
+                    flag.store(true, Ordering::Release);
+                }
+            });
+            prev(info);
+        }));
+    });
+}
+
 /// Runs chunk `c` on a worker; returns `true` if the thread must exit
 /// (injected death). Panics — injected or real — are caught and recorded
 /// so the supervisor can recover without waiting for the deadline.
@@ -753,6 +566,7 @@ fn worker_chunk<V: Scalar>(
     kernel: &dyn ChunkKernel<V>,
     c: usize,
     tid: usize,
+    panicking: &AtomicBool,
 ) -> bool {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
@@ -787,6 +601,8 @@ fn worker_chunk<V: Scalar>(
         Ok(ChunkRun::Exit) => true,
         Err(_) => {
             job.mark_failed(c, tid);
+            // The panic is recorded; this thread goes on to other chunks.
+            panicking.store(false, Ordering::Release);
             false
         }
     }
@@ -797,8 +613,12 @@ fn sup_worker_loop<V: Scalar>(
     kernel: Arc<dyn ChunkKernel<V>>,
     tid: usize,
     alive: Arc<AtomicBool>,
+    panicking: Arc<AtomicBool>,
     mut seen_epoch: u64,
 ) {
+    PANICKING.with(|flag| {
+        flag.get_or_init(|| Arc::clone(&panicking));
+    });
     loop {
         let job = {
             let mut st = lock(&shared.state);
@@ -830,7 +650,7 @@ fn sup_worker_loop<V: Scalar>(
                 continue; // taken over for recovery
             }
             job.hb[tid].fetch_add(1, Ordering::AcqRel);
-            if timed(&job, tid, || worker_chunk(&job, &*kernel, c, tid)) {
+            if timed(&job, tid, || worker_chunk(&job, &*kernel, c, tid, &panicking)) {
                 return;
             }
             job.hb[tid].fetch_add(1, Ordering::AcqRel);
@@ -841,6 +661,9 @@ fn sup_worker_loop<V: Scalar>(
 struct WorkerSlot {
     handle: JoinHandle<()>,
     alive: Arc<AtomicBool>,
+    /// Raised by the panic hook while the worker's panic unwinds toward
+    /// its `catch_unwind` (see `install_panic_hook`).
+    panicking: Arc<AtomicBool>,
 }
 
 // ---------------------------------------------------------------------
@@ -894,6 +717,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
         opts: WatchdogOpts,
     ) -> SupervisedSpMv<V> {
         assert!(nthreads >= 1, "need at least one thread");
+        install_panic_hook();
         let shared = Arc::new(SupShared {
             state: Mutex::new(SupState { epoch: 0, job: None, shutdown: false }),
             work_cv: Condvar::new(),
@@ -1219,11 +1043,20 @@ impl<V: Scalar> SupervisedSpMv<V> {
             } else if self.workers[tid - 1].handle.is_finished() {
                 Some((FaultEvent::WorkerDied { tid, chunk }, PoolError::WorkerDied { tid, chunk }))
             } else {
+                // Alive: stalled, or still unwinding a panic. Either way
+                // it may write the chunk's rows until it gets free.
                 *abandoned = true;
-                Some((
-                    FaultEvent::WorkerStalled { tid, chunk, waited },
-                    PoolError::WorkerStalled { tid, chunk, waited },
-                ))
+                if self.workers[tid - 1].panicking.load(Ordering::Acquire) {
+                    Some((
+                        FaultEvent::WorkerPanicked { tid, chunk },
+                        PoolError::WorkerPanicked { tid, chunk },
+                    ))
+                } else {
+                    Some((
+                        FaultEvent::WorkerStalled { tid, chunk, waited },
+                        PoolError::WorkerStalled { tid, chunk, waited },
+                    ))
+                }
             };
             lost.push(Lost { chunk, tid, fault });
         }
@@ -1246,10 +1079,15 @@ impl<V: Scalar> SupervisedSpMv<V> {
         }
         // Every chunk now has a published result; panics that raced the
         // scan still deserve their event (their chunk was recovered by
-        // the loop above, so no further work is needed).
+        // the loop above, so no further work is needed) unless the scan
+        // already reported them.
         let failed = std::mem::take(&mut lock(&state.progress).failed);
         for (chunk, tid) in failed {
-            report.events.push(FaultEvent::WorkerPanicked { tid, chunk });
+            let event = FaultEvent::WorkerPanicked { tid, chunk };
+            if report.events.contains(&event) {
+                continue;
+            }
+            report.events.push(event);
             if self.opts.policy == RecoveryPolicy::FailFast {
                 return Err(PoolError::WorkerPanicked { tid, chunk });
             }
@@ -1387,16 +1225,18 @@ fn spawn_sup_worker<V: Scalar>(
     seen_epoch: u64,
 ) -> WorkerSlot {
     let alive = Arc::new(AtomicBool::new(true));
+    let panicking = Arc::new(AtomicBool::new(false));
     let handle = {
         let shared = Arc::clone(shared);
         let kernel = Arc::clone(kernel);
         let alive = Arc::clone(&alive);
+        let panicking = Arc::clone(&panicking);
         std::thread::Builder::new()
             .name(format!("spmv-supervised-{tid}"))
-            .spawn(move || sup_worker_loop(shared, kernel, tid, alive, seen_epoch))
+            .spawn(move || sup_worker_loop(shared, kernel, tid, alive, panicking, seen_epoch))
             .expect("failed to spawn supervised worker")
     };
-    WorkerSlot { handle, alive }
+    WorkerSlot { handle, alive, panicking }
 }
 
 impl<V: Scalar> Drop for SupervisedSpMv<V> {
@@ -1416,8 +1256,11 @@ impl<V: Scalar> Drop for SupervisedSpMv<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmv_core::csr_du::DuOptions;
-    use spmv_core::{Coo, SpMv};
+    use crate::chunks::tests::Gapped;
+    use spmv_core::csr_du::{CsrDu, DuOptions};
+    use spmv_core::csr_duvi::CsrDuVi;
+    use spmv_core::csr_vi::CsrVi;
+    use spmv_core::{Coo, Csr, SpMv};
 
     fn irregular(nrows: usize, ncols: usize, seed: u64) -> Coo<f64> {
         let mut t: Vec<(usize, usize, f64)> = Vec::new();
@@ -1535,45 +1378,6 @@ mod tests {
                     assert!(!report.degraded(), "{name}: events {:?}", report.events);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn default_compute_block_decomposes_per_column() {
-        // A kernel that does NOT override compute_block still yields the
-        // column-wise decomposition of its compute method.
-        let coo = irregular(40, 30, 21);
-        let csr: Csr<u32, f64> = coo.to_csr();
-        let chunks = CsrChunks::new(Arc::new(csr.clone()), 3);
-        let k = 3;
-        let x: Vec<f64> = (0..30 * k).map(|i| (i as f64) * 0.11 - 1.0).collect();
-        for chunk in 0..ChunkKernel::<f64>::nchunks(&chunks) {
-            let rows = chunks.chunk_rows(chunk);
-            let mut fused = vec![0.0; rows.len() * k];
-            chunks.compute_block(chunk, &x, k, &mut fused);
-            // Re-derive via the trait's default body: per-column compute.
-            struct NoOverride(CsrChunks<u32, f64>);
-            impl ChunkKernel<f64> for NoOverride {
-                fn nrows(&self) -> usize {
-                    ChunkKernel::nrows(&self.0)
-                }
-                fn ncols(&self) -> usize {
-                    ChunkKernel::ncols(&self.0)
-                }
-                fn nchunks(&self) -> usize {
-                    ChunkKernel::nchunks(&self.0)
-                }
-                fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-                    self.0.chunk_rows(chunk)
-                }
-                fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-                    self.0.compute(chunk, x, out);
-                }
-            }
-            let plain = NoOverride(CsrChunks::new(Arc::new(csr.clone()), 3));
-            let mut columned = vec![0.0; rows.len() * k];
-            plain.compute_block(chunk, &x, k, &mut columned);
-            assert_eq!(fused, columned, "chunk {chunk}");
         }
     }
 
@@ -1740,35 +1544,6 @@ mod tests {
                 sup.spmm(&x, k, &mut y).expect("healthy run");
                 assert_eq!(y, want, "{name} k={k}: borrowed");
             }
-        }
-    }
-
-    /// CSR chunks with rows `lo..hi` left out of every chunk.
-    struct Gapped {
-        inner: CsrChunks<u32, f64>,
-        gap: Range<usize>,
-    }
-
-    impl ChunkKernel<f64> for Gapped {
-        fn nrows(&self) -> usize {
-            ChunkKernel::nrows(&self.inner)
-        }
-        fn ncols(&self) -> usize {
-            ChunkKernel::ncols(&self.inner)
-        }
-        fn nchunks(&self) -> usize {
-            2
-        }
-        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-            if chunk == 0 {
-                self.gap.end..self.nrows()
-            } else {
-                0..self.gap.start
-            }
-        }
-        fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-            let r = self.chunk_rows(chunk);
-            self.inner.matrix.spmv_rows_local(r.start, r.end, x, out);
         }
     }
 

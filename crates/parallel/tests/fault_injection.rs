@@ -381,7 +381,7 @@ fn supervised_spmm_failfast_corruption_error() {
 /// computed from the marked input — how the drill sees the abandoned
 /// straggler's late write.
 struct Watched {
-    inner: CsrChunks<u32, f64>,
+    inner: CsrChunks<Arc<Csr<u32, f64>>>,
     slow: AtomicBool,
     mark: f64,
     marked: Mutex<Vec<Instant>>,

@@ -69,7 +69,7 @@ fn main() {
     let mut y_par = vec![0.0; n];
     par.par_spmv(&x, &mut y_par);
     assert_eq!(y_csr, y_par);
-    println!("4-thread CSR-DU SpMV agreement: OK ({} splits)", par.splits().len());
+    println!("4-thread CSR-DU SpMV agreement: OK ({} splits)", par.nthreads());
 
     // 6. The paper's selection rule, automated.
     let auto = spmv_repro::auto_format(&csr);
