@@ -8,12 +8,21 @@
 //! than the current class is simply stored wide — mirroring the paper's
 //! trade of "less size reduction for innermost loops with minimum
 //! overheads".
+//!
+//! The encoder runs on the planner's cold path, once per candidate
+//! format, so it is written to stream at memory speed: each row's
+//! columns are read in place from `row_ptr`/`col_ind`, the only
+//! per-unit buffer is a reused 255-delta scratch vector, and each unit
+//! is appended to the ctl stream with one reservation. It encodes the
+//! structure only. [`CsrDu::from_csr`] copies the values in afterwards,
+//! and CSR-DU-VI, which stores its values as a deduplicated table, never
+//! copies them at all.
 
 use super::{CsrDu, UnitType, FLAG_NEW_ROW, FLAG_ROW_JMP};
 use crate::csr::Csr;
 use crate::index::SpIndex;
 use crate::scalar::Scalar;
-use crate::varint::write_varint;
+use crate::varint::{write_varint, MAX_VARINT_LEN};
 
 /// Tuning knobs for the CSR-DU encoder.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +110,8 @@ impl CtlBuilder {
             return;
         }
         let utype = if self.deltas.is_empty() { UnitType::U8 } else { self.unit_type };
+        let delta_bytes = if utype == UnitType::Seq { 0 } else { utype.delta_bytes() };
+        self.ctl.reserve(2 + 2 * MAX_VARINT_LEN + self.deltas.len() * delta_bytes);
         let mut uflags = utype as u8;
         if self.new_row {
             uflags |= FLAG_NEW_ROW;
@@ -117,26 +128,14 @@ impl CtlBuilder {
         }
         write_varint(&mut self.ctl, self.head_jmp);
         match utype {
-            UnitType::U8 => {
-                for &d in &self.deltas {
-                    self.ctl.push(d as u8);
-                }
-            }
+            UnitType::U8 => self.ctl.extend(self.deltas.iter().map(|&d| d as u8)),
             UnitType::U16 => {
-                for &d in &self.deltas {
-                    self.ctl.extend_from_slice(&(d as u16).to_le_bytes());
-                }
+                self.ctl.extend(self.deltas.iter().flat_map(|&d| (d as u16).to_le_bytes()))
             }
             UnitType::U32 => {
-                for &d in &self.deltas {
-                    self.ctl.extend_from_slice(&(d as u32).to_le_bytes());
-                }
+                self.ctl.extend(self.deltas.iter().flat_map(|&d| (d as u32).to_le_bytes()))
             }
-            UnitType::U64 => {
-                for &d in &self.deltas {
-                    self.ctl.extend_from_slice(&d.to_le_bytes());
-                }
-            }
+            UnitType::U64 => self.ctl.extend(self.deltas.iter().flat_map(|&d| d.to_le_bytes())),
             UnitType::Seq => {}
         }
         self.units += 1;
@@ -144,22 +143,34 @@ impl CtlBuilder {
     }
 }
 
-/// Encodes `csr` into the CSR-DU byte stream.
+/// Encodes the structure of `csr` into a CSR-DU byte stream. The
+/// result carries no values (see [`CsrDu::with_values`]).
 pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
     assert!(opts.max_unit >= 1 && opts.max_unit <= 255, "max_unit must be in 1..=255");
     assert!(opts.min_seq >= 2, "a sequential run needs at least 2 elements");
 
     let mut b = CtlBuilder::new(csr.nnz());
     let mut pending_empty_rows: u64 = 0;
+    let col_ind = csr.col_ind();
 
-    for row in 0..csr.nrows() {
-        let cols: Vec<usize> = csr.row_iter(row).map(|(c, _)| c).collect();
+    for bounds in csr.row_ptr().windows(2) {
+        let cols = &col_ind[bounds[0].index()..bounds[1].index()];
         if cols.is_empty() {
             pending_empty_rows += 1;
             continue;
         }
+        let col = |i: usize| cols[i].index();
+        // Length of the run of consecutive columns starting at `i`,
+        // counted up to `cap`.
+        let run_len = |i: usize, cap: usize| {
+            let mut run = 1usize;
+            while i + run < cols.len() && col(i + run) == col(i + run - 1) + 1 && run < cap {
+                run += 1;
+            }
+            run
+        };
 
-        // Column deltas for this row: deltas[0] is the absolute first
+        // Column deltas for this row: the first is the absolute first
         // column (x resets to 0 at a new row), the rest are distances
         // between consecutive non-zeros.
         let mut idx = 0usize;
@@ -167,26 +178,18 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
         let mut new_row = true;
 
         while idx < cols.len() {
-            let jmp = (cols[idx] - prev_col) as u64;
+            let jmp = (col(idx) - prev_col) as u64;
             let row_jmp = if new_row { std::mem::take(&mut pending_empty_rows) } else { 0 };
 
             if opts.enable_seq {
                 // Greedy sequential-run detection starting at idx.
-                let mut run = 1usize;
-                while idx + run < cols.len()
-                    && cols[idx + run] == cols[idx + run - 1] + 1
-                    && run < opts.max_unit
-                {
-                    run += 1;
-                }
+                let run = run_len(idx, opts.max_unit);
                 if run >= opts.min_seq {
                     b.open_unit(jmp, new_row, row_jmp);
                     b.unit_type = UnitType::Seq;
-                    for _ in 1..run {
-                        b.deltas.push(1);
-                    }
+                    b.deltas.resize(run - 1, 1);
                     b.finalize();
-                    prev_col = cols[idx + run - 1];
+                    prev_col = col(idx + run - 1);
                     idx += run;
                     new_row = false;
                     continue;
@@ -195,12 +198,13 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
 
             // General delta unit.
             b.open_unit(jmp, new_row, row_jmp);
-            prev_col = cols[idx];
+            prev_col = col(idx);
             idx += 1;
             new_row = false;
 
             while idx < cols.len() && b.len() < opts.max_unit {
-                let d = (cols[idx] - prev_col) as u64;
+                let c = col(idx);
+                let d = (c - prev_col) as u64;
                 let need = UnitType::for_delta(d as usize);
                 if need.delta_bytes() > b.unit_type.delta_bytes() {
                     if b.len() >= opts.widen_threshold {
@@ -208,23 +212,13 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
                         break;
                     }
                     b.unit_type = need;
-                } else if opts.enable_seq && d == 1 {
-                    // Peek: would a SEQ unit start here? If a long run of
-                    // consecutive columns follows, close this unit so the
-                    // run is emitted as SEQ.
-                    let mut run = 1usize;
-                    while idx + run < cols.len()
-                        && cols[idx + run] == cols[idx + run - 1] + 1
-                        && run < opts.min_seq
-                    {
-                        run += 1;
-                    }
-                    if run >= opts.min_seq {
-                        break;
-                    }
+                } else if opts.enable_seq && d == 1 && run_len(idx, opts.min_seq) >= opts.min_seq {
+                    // A long run of consecutive columns follows: close
+                    // this unit so the run is emitted as SEQ.
+                    break;
                 }
                 b.deltas.push(d);
-                prev_col = cols[idx];
+                prev_col = c;
                 idx += 1;
             }
             b.finalize();
@@ -233,13 +227,12 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
     // Trailing empty rows produce no units; the decoder learns the row
     // count from the matrix header, not the stream.
 
-    let units = b.units;
     CsrDu {
         nrows: csr.nrows(),
         ncols: csr.ncols(),
         nnz: csr.nnz(),
         ctl: b.ctl,
-        values: csr.values().to_vec(),
-        units,
+        values: Vec::new(),
+        units: b.units,
     }
 }

@@ -139,6 +139,13 @@ impl<V: Scalar> CsrDu<V> {
     /// Encodes a CSR matrix into CSR-DU. The construction is `O(nnz)`: one
     /// scan of the matrix, exactly as the paper requires (§IV).
     pub fn from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
+        Self::structure_from_csr(csr, opts).with_values(csr.values().to_vec())
+    }
+
+    /// Encodes only the structure of `csr`: the ctl stream, with an empty
+    /// value array (for the combined CSR-DU-VI format, which stores its
+    /// values separately and so never copies them).
+    pub(crate) fn structure_from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
         encode::encode(csr, opts)
     }
 
@@ -181,8 +188,6 @@ impl<V: Scalar> CsrDu<V> {
         &self.ctl
     }
 
-    /// Drops the value array, keeping only structure (used by the combined
-    /// CSR-DU-VI format, which stores values separately).
     /// Re-walks the ctl stream with full bounds checks, returning
     /// `(nnz, units)`. Shared by [`SpMv::validate`] here and in the
     /// combined DU-VI format, whose inner `CsrDu` carries no values.
@@ -190,12 +195,8 @@ impl<V: Scalar> CsrDu<V> {
         validate::validate_ctl(&self.ctl, self.nrows.max(1), self.ncols.max(1))
     }
 
-    pub(crate) fn without_values(mut self) -> CsrDu<V> {
-        self.values = Vec::new();
-        self
-    }
-
-    /// Re-attaches a value array (inverse of [`CsrDu::without_values`]).
+    /// Attaches a value array to a structure-only stream (see
+    /// [`CsrDu::structure_from_csr`]).
     pub(crate) fn with_values(mut self, values: Vec<V>) -> CsrDu<V> {
         debug_assert_eq!(values.len(), self.nnz);
         self.values = values;

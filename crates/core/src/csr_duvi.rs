@@ -32,10 +32,9 @@ impl<V: Scalar> CsrDuVi<V> {
     /// uses the same canonical-bit-pattern rules as CSR-VI (NaNs collapse
     /// to one table slot; `-0.0`/`+0.0` stay distinct).
     pub fn from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDuVi<V> {
-        let du = CsrDu::from_csr(csr, opts);
+        let du = CsrDu::structure_from_csr(csr, opts);
         let (vals_unique, val_ind) = crate::csr_vi::build::dedup_values(csr.values());
-        let nnz = csr.nnz();
-        CsrDuVi { du: du.without_values(), vals_unique, val_ind, nnz }
+        CsrDuVi { du, vals_unique, val_ind, nnz: csr.nnz() }
     }
 
     /// Number of rows.

@@ -55,7 +55,7 @@
 //!   matrix); structure catches what checksums cannot (a well-checksummed
 //!   file written by a buggy or malicious encoder).
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::csc::Csc;
 use crate::csr::Csr;
 use crate::csr_du::CsrDu;
@@ -156,46 +156,85 @@ impl LoadLimits {
 const PREALLOC_CAP: usize = 1 << 16;
 
 // ---------------------------------------------------------------------
-// v2 writer: payload assembled in memory, sections carry their own CRC
+// v2 writer: one serializer, two sinks
 // ---------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a section: `u64 count | data | u32 crc(data)`.
-fn put_section(out: &mut Vec<u8>, count: u64, data: &[u8]) {
-    put_u64(out, count);
-    out.extend_from_slice(data);
-    out.extend_from_slice(&crc32(data).to_le_bytes());
-}
-
-fn put_u32_section(out: &mut Vec<u8>, data: &[u32]) {
-    let mut bytes = Vec::with_capacity(data.len() * 4);
-    for &v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
+/// Where the bytes of a v2 payload go: a buffer (the writers) or a
+/// running CRC ([`fingerprint_csr`], which must hash exactly the bytes a
+/// writer would emit without materializing them).
+trait Sink {
+    /// Bytes outside section data: scalars, counts, section CRCs.
+    fn put(&mut self, bytes: &[u8]);
+    /// Section data bytes, which [`put_section`] hashes for the section
+    /// CRC itself.
+    fn put_data(&mut self, bytes: &[u8]) {
+        self.put(bytes);
     }
-    put_section(out, data.len() as u64, &bytes);
+    /// Ends a section's data: `len` bytes whose CRC is `crc`.
+    fn end_data(&mut self, _crc: u32, _len: u64) {}
 }
 
-fn put_u16_section(out: &mut Vec<u8>, data: &[u16]) {
-    let mut bytes = Vec::with_capacity(data.len() * 2);
-    for &v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
-    put_section(out, data.len() as u64, &bytes);
 }
 
-fn put_f64_section(out: &mut Vec<u8>, data: &[f64]) {
-    let mut bytes = Vec::with_capacity(data.len() * 8);
-    for &v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
+/// The payload CRC takes each section's data through its section CRC
+/// ([`Crc32::combine`]), so every data byte is hashed once, not twice.
+impl Sink for Crc32 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
     }
-    put_section(out, data.len() as u64, &bytes);
+
+    fn put_data(&mut self, _bytes: &[u8]) {}
+
+    fn end_data(&mut self, crc: u32, len: u64) {
+        self.combine(crc, len);
+    }
 }
 
-fn put_byte_section(out: &mut Vec<u8>, data: &[u8]) {
-    put_section(out, data.len() as u64, data);
+/// A fixed-width section element, stored little-endian.
+trait LeBytes: Copy {
+    const WIDTH: usize;
+    fn put_le(self, dst: &mut [u8]);
+}
+
+macro_rules! le_bytes {
+    ($($t:ty),*) => {$(
+        impl LeBytes for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put_le(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+le_bytes!(u8, u16, u32, f64);
+
+fn put_u64<S: Sink>(out: &mut S, v: u64) {
+    out.put(&v.to_le_bytes());
+}
+
+/// Emits a section, `u64 count | data | u32 crc(data)`. The data is
+/// converted to little-endian bytes through a small stack buffer, so
+/// neither the section nor the payload is ever materialized for a CRC
+/// sink, and the buffer writer makes one copy, into the payload.
+fn put_section<S: Sink, T: LeBytes>(out: &mut S, data: &[T]) {
+    put_u64(out, data.len() as u64);
+    let mut crc = Crc32::new();
+    let mut buf = [0u8; 4096];
+    for chunk in data.chunks(buf.len() / T::WIDTH) {
+        let bytes = &mut buf[..chunk.len() * T::WIDTH];
+        for (dst, &v) in bytes.chunks_exact_mut(T::WIDTH).zip(chunk) {
+            v.put_le(dst);
+        }
+        crc.update(bytes);
+        out.put_data(bytes);
+    }
+    let crc = crc.finish();
+    out.end_data(crc, (data.len() * T::WIDTH) as u64);
+    out.put(&crc.to_le_bytes());
 }
 
 /// Writes the v2 frame: header, declared payload length, whole-payload
@@ -428,10 +467,14 @@ impl Fingerprint {
 /// payload bytes [`write_csr`] produces, so it equals the stored
 /// whole-payload checksum of the matrix's v2 CSR container byte for
 /// byte — fingerprinting in memory and fingerprinting the file agree.
+///
+/// The bytes are streamed into the CRC as they are serialized, so this
+/// costs one pass over the matrix and no allocation.
 pub fn fingerprint_csr(m: &Csr<u32, f64>) -> Fingerprint {
-    let payload = csr_payload(m);
+    let mut crc = Crc32::new();
+    put_csr(&mut crc, m);
     Fingerprint {
-        crc: crc32(&payload),
+        crc: crc.finish(),
         nrows: m.nrows() as u64,
         ncols: m.ncols() as u64,
         nnz: m.nnz() as u64,
@@ -518,19 +561,19 @@ fn body_shape(tag: u8, body: &[u8], sec_trailer: usize) -> Result<(u64, u64, u64
 // CSR
 // ---------------------------------------------------------------------
 
-fn csr_payload(m: &Csr<u32, f64>) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, m.nrows() as u64);
-    put_u64(&mut payload, m.ncols() as u64);
-    put_u32_section(&mut payload, m.row_ptr());
-    put_u32_section(&mut payload, m.col_ind());
-    put_f64_section(&mut payload, m.values());
-    payload
+fn put_csr<S: Sink>(out: &mut S, m: &Csr<u32, f64>) {
+    put_u64(out, m.nrows() as u64);
+    put_u64(out, m.ncols() as u64);
+    put_section(out, m.row_ptr());
+    put_section(out, m.col_ind());
+    put_section(out, m.values());
 }
 
 /// Serializes a CSR matrix (always the current container version).
 pub fn write_csr<W: Write>(m: &Csr<u32, f64>, w: &mut W) -> Result<()> {
-    write_frame(w, TAG_CSR, &csr_payload(m))
+    let mut payload = Vec::new();
+    put_csr(&mut payload, m);
+    write_frame(w, TAG_CSR, &payload)
 }
 
 /// Deserializes a CSR matrix with default [`LoadLimits`] (revalidates all
@@ -579,9 +622,9 @@ pub fn write_csc<W: Write>(m: &Csc<u32, f64>, w: &mut W) -> Result<()> {
     let mut payload = Vec::new();
     put_u64(&mut payload, m.nrows() as u64);
     put_u64(&mut payload, m.ncols() as u64);
-    put_u32_section(&mut payload, m.col_ptr());
-    put_u32_section(&mut payload, m.row_ind());
-    put_f64_section(&mut payload, m.values());
+    put_section(&mut payload, m.col_ptr());
+    put_section(&mut payload, m.row_ind());
+    put_section(&mut payload, m.values());
     write_frame(w, TAG_CSC, &payload)
 }
 
@@ -624,8 +667,8 @@ pub fn write_csr_du<W: Write>(m: &CsrDu<f64>, w: &mut W) -> Result<()> {
     let mut payload = Vec::new();
     put_u64(&mut payload, m.nrows() as u64);
     put_u64(&mut payload, m.ncols() as u64);
-    put_byte_section(&mut payload, m.ctl());
-    put_f64_section(&mut payload, m.values());
+    put_section(&mut payload, m.ctl());
+    put_section(&mut payload, m.values());
     write_frame(w, TAG_CSR_DU, &payload)
 }
 
@@ -671,14 +714,14 @@ pub fn write_csr_vi<W: Write>(m: &CsrVi<u32, f64>, w: &mut W) -> Result<()> {
     let mut payload = Vec::new();
     put_u64(&mut payload, m.nrows() as u64);
     put_u64(&mut payload, m.ncols() as u64);
-    put_u32_section(&mut payload, m.row_ptr());
-    put_u32_section(&mut payload, m.col_ind());
-    put_f64_section(&mut payload, m.vals_unique());
+    put_section(&mut payload, m.row_ptr());
+    put_section(&mut payload, m.col_ind());
+    put_section(&mut payload, m.vals_unique());
     put_u64(&mut payload, m.val_ind().width_bytes() as u64);
     match m.val_ind() {
-        ValInd::U8(v) => put_byte_section(&mut payload, v),
-        ValInd::U16(v) => put_u16_section(&mut payload, v),
-        ValInd::U32(v) => put_u32_section(&mut payload, v),
+        ValInd::U8(v) => put_section(&mut payload, v),
+        ValInd::U16(v) => put_section(&mut payload, v),
+        ValInd::U32(v) => put_section(&mut payload, v),
     }
     write_frame(w, TAG_CSR_VI, &payload)
 }
@@ -841,6 +884,26 @@ mod tests {
         write_csr(&csr, &mut buf).unwrap();
         let back = read_csr(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, csr);
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_crc_of_materialized_payload() {
+        let empty: Csr<u32, f64> = crate::Coo::new(3, 4).to_csr();
+        let zero_rows: Csr<u32, f64> = crate::Coo::new(0, 5).to_csr();
+        let one = Csr::from_raw_parts(1, 1, vec![0, 1], vec![0], vec![-0.0]).unwrap();
+        let paper = paper_matrix().to_csr();
+        for (name, m) in
+            [("empty", &empty), ("0-row", &zero_rows), ("1x1", &one), ("paper", &paper)]
+        {
+            let mut file = Vec::new();
+            write_csr(m, &mut file).unwrap();
+            let payload = &file[19..];
+            assert_eq!(fingerprint_csr(m).crc, crc32(payload), "{name}");
+        }
+        // Recorded from the byte-at-a-time fingerprint, which materialized
+        // the payload: plan-cache keys must not move.
+        assert_eq!(fingerprint_csr(&paper).crc, 0x9121_6a36);
+        assert_eq!(fingerprint_csr(&one).crc, 0x8785_27b0);
     }
 
     #[test]
@@ -1159,9 +1222,9 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, 2); // nrows
         put_u64(&mut payload, 2); // ncols
-        put_u32_section(&mut payload, &[0, 1, 2]); // col_ptr
-        put_u32_section(&mut payload, &[0, 7]); // row 7 in a 2-row matrix
-        put_f64_section(&mut payload, &[1.0, 2.0]);
+        put_section(&mut payload, &[0u32, 1, 2]); // col_ptr
+        put_section(&mut payload, &[0u32, 7]); // row 7 in a 2-row matrix
+        put_section(&mut payload, &[1.0, 2.0]);
         let mut buf = Vec::new();
         write_frame(&mut buf, TAG_CSC, &payload).unwrap();
         let err = read_csc(&mut Cursor::new(&buf)).unwrap_err();
@@ -1186,8 +1249,8 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, nrows);
         put_u64(&mut payload, ncols);
-        put_byte_section(&mut payload, &[0x80, 0x00]); // zero-length unit
-        put_f64_section(&mut payload, &[]);
+        put_section(&mut payload, &[0x80u8, 0x00]); // zero-length unit
+        put_section::<_, f64>(&mut payload, &[]);
         let mut buf = Vec::new();
         write_frame(&mut buf, TAG_CSR_DU, &payload).unwrap();
         let err = read_csr_du(&mut Cursor::new(&buf)).unwrap_err();
@@ -1202,9 +1265,9 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, 2); // nrows
         put_u64(&mut payload, 2); // ncols
-        put_u32_section(&mut payload, &[0, 1, 2]); // row_ptr
-        put_u32_section(&mut payload, &[0, 7]); // col 7 >= ncols 2
-        put_f64_section(&mut payload, &[1.0, 2.0]);
+        put_section(&mut payload, &[0u32, 1, 2]); // row_ptr
+        put_section(&mut payload, &[0u32, 7]); // col 7 >= ncols 2
+        put_section(&mut payload, &[1.0, 2.0]);
         let mut buf = Vec::new();
         write_frame(&mut buf, TAG_CSR, &payload).unwrap();
         let err = read_csr(&mut Cursor::new(&buf)).unwrap_err();
@@ -1218,11 +1281,11 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, 2); // nrows
         put_u64(&mut payload, 2); // ncols
-        put_u32_section(&mut payload, &[0, 1, 2]); // row_ptr
-        put_u32_section(&mut payload, &[0, 1]); // col_ind
-        put_f64_section(&mut payload, &[4.5]); // one unique value
+        put_section(&mut payload, &[0u32, 1, 2]); // row_ptr
+        put_section(&mut payload, &[0u32, 1]); // col_ind
+        put_section(&mut payload, &[4.5]); // one unique value
         put_u64(&mut payload, 1); // val_ind width = u8
-        put_byte_section(&mut payload, &[0, 3]); // index 3 >= unique count 1
+        put_section(&mut payload, &[0u8, 3]); // index 3 >= unique count 1
         let mut buf = Vec::new();
         write_frame(&mut buf, TAG_CSR_VI, &payload).unwrap();
         let err = read_csr_vi(&mut Cursor::new(&buf)).unwrap_err();

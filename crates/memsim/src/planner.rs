@@ -43,6 +43,20 @@
 //! (cold) benchmark run, so warm runs can report measured medians with
 //! zero re-encodes.
 //!
+//! ## Where cold-plan time goes
+//!
+//! A miss costs one pass over the matrix per step, and every step streams
+//! at close to memory speed: the fingerprint (a slicing-by-16 CRC that
+//! hashes each array's bytes once), the CSR-DU encode (rows read in
+//! place), the CSR-VI encode (value deduplication through a small memo in
+//! front of the keyed map) and the CSR-DU-VI encode (the ctl stream and
+//! the value table, without copying the values). Profiling and
+//! prediction are cheap next to these. On a 4.3M-row, 30M-nnz stencil on
+//! a shared 2-vCPU x86-64 host the split was 0.25–0.3 s of fingerprint,
+//! 0.3–0.47 s, 0.27–0.45 s and 0.35–0.6 s of DU, VI and DU-VI encode,
+//! and about 0.06 s for the rest: 1.3–1.75 s in all. A hit costs only
+//! the fingerprint.
+//!
 //! ## Interaction with overrides
 //!
 //! The planner decides *format, thread count and chunking* from the
