@@ -37,6 +37,7 @@
 
 pub mod cache;
 pub mod cost;
+pub mod host;
 pub mod machine;
 pub mod placement;
 pub mod planner;

@@ -17,15 +17,34 @@
 //!
 //! ## Decision inputs
 //!
-//! For each candidate format (default: the paper's CSR, CSR-DU, CSR-VI,
-//! CSR-DU-VI) the planner encodes the matrix, builds its
-//! [`FormatCost`](crate::FormatCost), and evaluates
-//! [`predict`](crate::predict) at every candidate thread count placed
-//! "close" (cores packed onto as few dies as possible). Candidates are
-//! ranked by predicted time per iteration under [`f64::total_cmp`] — a
-//! **total** order, so a NaN that slips through can never panic the sort
-//! (it ranks after every real number and loses). Ties break toward fewer
-//! threads, then toward the candidate-list order.
+//! The planner works in one of two regimes, chosen by the one host fact
+//! it reads: the size of the last-level cache
+//! ([`PlannerConfig::llc_bytes`], probed from sysfs by default).
+//!
+//! * **Cache-resident.** When the matrix's CSR working set (the paper's
+//!   `ws`: CSR bytes plus the x and y vectors) fits in
+//!   `llc_bytes × cache_fit_factor`, nothing streams from memory once the
+//!   cache is warm and SpMV is core-bound. With zero traffic the model
+//!   ranks by CPU cost alone, and under [`CostModel`](crate::CostModel)
+//!   every compressed format costs CSR's cycles plus non-negative extras
+//!   (VI per element; DU and DU-VI per unit, and there are at least as
+//!   many units as non-empty rows). CSR is therefore the model's own
+//!   winner, so the planner ranks only CSR over the thread candidates by
+//!   the prediction's CPU time, reports the plan as not memory-bound,
+//!   and encodes no candidate. This is the paper's MS observation
+//!   (§VI): compression gains shrink or invert once the matrix is cached.
+//! * **Streamed.** Otherwise, or when the LLC is unknown (`None`), for
+//!   each candidate format (default: the paper's CSR, CSR-DU, CSR-VI,
+//!   CSR-DU-VI) the planner encodes the matrix, builds its
+//!   [`FormatCost`](crate::FormatCost), and evaluates
+//!   [`predict`](crate::predict) at every candidate thread count placed
+//!   "close" (cores packed onto as few dies as possible).
+//!
+//! Candidates are ranked by predicted time per iteration under
+//! [`f64::total_cmp`] — a **total** order, so a NaN that slips through
+//! can never panic the sort (it ranks after every real number and
+//! loses). Ties break toward fewer threads, then toward the
+//! candidate-list order.
 //!
 //! ## Fingerprint / cache contract
 //!
@@ -39,7 +58,10 @@
 //! The cache persists to a small versioned text file next to BENCH.json
 //! ([`Planner::save`]/[`Planner::load`]); a file with an unknown header
 //! version is ignored (cold start), a malformed entry line is a typed
-//! error. Entries also carry the measured cost recorded by the first
+//! error. The header also records the LLC size the plans were made
+//! under: a file saved under another LLC (or by a planner that did not
+//! read the LLC) is ignored too, since its picks came from the other
+//! regime. Entries also carry the measured cost recorded by the first
 //! (cold) benchmark run, so warm runs can report measured medians with
 //! zero re-encodes.
 //!
@@ -54,20 +76,25 @@
 //! prediction are cheap next to these. On a 4.3M-row, 30M-nnz stencil on
 //! a shared 2-vCPU x86-64 host the split was 0.25–0.3 s of fingerprint,
 //! 0.3–0.47 s, 0.27–0.45 s and 0.35–0.6 s of DU, VI and DU-VI encode,
-//! and about 0.06 s for the rest: 1.3–1.75 s in all. A hit costs only
-//! the fingerprint.
+//! and about 0.06 s for the rest: 1.3–1.75 s in all. A cache-resident
+//! miss skips the three encodes, and a hit costs only the fingerprint.
 //!
 //! ## Interaction with overrides
 //!
 //! The planner decides *format, thread count and chunking* from the
-//! analytic model of the paper's 8-core Clovertown — it does not probe
-//! the host. Two runtime overrides compose with it downstream:
+//! analytic model of the paper's 8-core Clovertown; of the host it reads
+//! only the LLC size. Two runtime overrides compose with it downstream.
 //! `SPMV_ISA` changes which SpMV kernel body executes (scalar vs AVX2)
-//! without affecting bytes streamed, so the format ranking stands and
-//! only absolute times shift; and an executor capped at fewer threads
-//! than the plan (e.g. `ServiceConfig::threads`) should pass its cap as
-//! the planner's `thread_candidates` so the plan never promises
-//! parallelism the pool cannot deliver.
+//! without changing the bytes streamed. Where SpMV is bandwidth-bound
+//! that leaves the ranking standing, but where it is compute-bound the
+//! ISA moves formats apart: on one matrix measured on an AVX2 x86-64
+//! host, CSR-VI took 0.075 s per product under AVX2 and 0.113 s scalar,
+//! while CSR-DU-VI stayed at about 0.15 s under both. The model does not
+//! see the ISA, so such a ranking can be wrong for the host. And an
+//! executor capped at fewer threads than the plan (e.g.
+//! `ServiceConfig::threads`) should pass its cap as the planner's
+//! `thread_candidates` so the plan never promises parallelism the pool
+//! cannot deliver.
 //!
 //! ## Online refinement
 //!
@@ -110,6 +137,11 @@ pub struct PlannerConfig {
     /// Measured-imbalance threshold above which
     /// [`Planner::refine_from_telemetry`] doubles a cached plan's chunks.
     pub refine_imbalance_threshold: f64,
+    /// Bytes of the host's last-level cache; decides the cache-resident
+    /// regime (see the [module docs](self)). `None` means unknown: every
+    /// matrix is then planned through the streamed model. Defaults to
+    /// [`host::llc_bytes`](crate::host::llc_bytes).
+    pub llc_bytes: Option<usize>,
 }
 
 impl Default for PlannerConfig {
@@ -125,6 +157,7 @@ impl Default for PlannerConfig {
             thread_candidates: vec![1, 2, 4, 8],
             chunks_per_thread: 2,
             refine_imbalance_threshold: 1.25,
+            llc_bytes: crate::host::llc_bytes(),
         }
     }
 }
@@ -249,7 +282,9 @@ pub struct Planner {
     inner: Mutex<PlannerInner>,
 }
 
-const CACHE_HEADER: &str = "spmv-plan-cache v1";
+/// Cache-file format version; the header line also names the LLC size
+/// the plans were made under (see [`Planner::cache_header`]).
+const CACHE_HEADER: &str = "spmv-plan-cache v2";
 
 impl Planner {
     /// Creates a planner with an empty cache.
@@ -276,6 +311,15 @@ impl Planner {
     /// Number of cached plans.
     pub fn entries(&self) -> usize {
         self.lock().cache.len()
+    }
+
+    /// First line of a cache file this planner writes and accepts: the
+    /// format version plus the LLC size that chose each plan's regime.
+    fn cache_header(&self) -> String {
+        match self.cfg.llc_bytes {
+            Some(bytes) => format!("{CACHE_HEADER} llc_bytes={bytes}"),
+            None => format!("{CACHE_HEADER} llc_bytes=unknown"),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PlannerInner> {
@@ -374,20 +418,34 @@ impl Planner {
             ));
         }
 
+        // Cache-resident regime: with no memory traffic the model's own
+        // winner is CSR (see the module docs), so the other candidates
+        // are neither encoded nor ranked. A candidate list without CSR
+        // never plans CSR.
+        let resident = self.cfg.formats.contains(&FormatKind::Csr)
+            && self.cfg.llc_bytes.is_some_and(|llc| {
+                m.working_set().total() as f64 <= llc as f64 * machine.cache_fit_factor
+            });
+        let formats: &[FormatKind] = if resident { &[FormatKind::Csr] } else { &self.cfg.formats };
         let mut ranking: Vec<(usize, RankedChoice, usize)> = Vec::new();
-        for (order, &kind) in self.cfg.formats.iter().enumerate() {
+        for (order, &kind) in formats.iter().enumerate() {
             let fc = self.candidate_cost(m, kind)?;
             let bytes = fc.stream_bytes + fc.resident_bytes;
             for &t in &threads {
                 let p = predict(&profile, &fc, &Placement::close(t, machine), &self.cfg.sim);
+                let (time_s, mflops, memory_bound) = if resident {
+                    (p.cpu_time_s, 2.0 * m.nnz() as f64 / p.cpu_time_s / 1e6, false)
+                } else {
+                    (p.time_s, p.mflops, p.memory_bound)
+                };
                 ranking.push((
                     order,
                     RankedChoice {
                         format: kind,
                         threads: t,
-                        predicted_time_s: p.time_s,
-                        predicted_mflops: p.mflops,
-                        memory_bound: p.memory_bound,
+                        predicted_time_s: time_s,
+                        predicted_mflops: mflops,
+                        memory_bound,
                     },
                     bytes,
                 ));
@@ -481,8 +539,7 @@ impl Planner {
         let inner = self.lock();
         let mut entries: Vec<&CacheEntry> = inner.cache.values().collect();
         entries.sort_by_key(|e| e.fp.crc); // deterministic files
-        let mut out = String::new();
-        out.push_str(CACHE_HEADER);
+        let mut out = self.cache_header();
         out.push('\n');
         for e in entries {
             out.push_str(&format!(
@@ -517,10 +574,10 @@ impl Planner {
 
     /// Loads a cache file previously written by [`save`](Planner::save),
     /// merging its entries into the in-memory cache. A file whose header
-    /// names an unknown format version is ignored (cold start — old
-    /// caches never block a new binary); a malformed entry line is a
-    /// typed [`SparseError::Parse`]. Returns the number of entries
-    /// loaded.
+    /// names an unknown format version, or another LLC size than this
+    /// planner's, is ignored (cold start — old caches never block a new
+    /// binary); a malformed entry line is a typed [`SparseError::Parse`].
+    /// Returns the number of entries loaded.
     pub fn load<P: AsRef<Path>>(&self, path: P) -> Result<usize, SparseError> {
         let mut text = String::new();
         std::fs::File::open(path.as_ref())
@@ -528,8 +585,8 @@ impl Planner {
             .map_err(|e| SparseError::Parse(format!("read plan cache: {e}")))?;
         let mut lines = text.lines();
         match lines.next() {
-            Some(h) if h.trim() == CACHE_HEADER => {}
-            _ => return Ok(0), // unknown version: start cold
+            Some(h) if h.trim() == self.cache_header() => {}
+            _ => return Ok(0), // unknown version or other LLC: start cold
         }
         let mut loaded = 0;
         let mut inner = self.lock();
@@ -605,9 +662,15 @@ mod tests {
         spmv_matgen::gen::banded(n, 6, 1.0, 1).to_csr()
     }
 
+    /// The streamed (bandwidth-model) regime for every matrix, whatever
+    /// the host's cache.
+    fn streamed() -> PlannerConfig {
+        PlannerConfig { llc_bytes: None, ..PlannerConfig::default() }
+    }
+
     #[test]
     fn plans_are_cached_by_fingerprint_with_zero_reencodes() {
-        let p = Planner::new(PlannerConfig::default());
+        let p = Planner::new(streamed());
         let m = banded(20_000);
         let cold = p.plan_csr(&m).expect("plannable");
         assert!(!cold.cache_hit);
@@ -729,7 +792,7 @@ mod tests {
         assert_eq!(p.load(&vpath).expect("unknown version ignored"), 0);
 
         let bpath = dir.join("mangled");
-        std::fs::write(&bpath, format!("{CACHE_HEADER}\ncrc=1 nrows=oops\n")).unwrap();
+        std::fs::write(&bpath, format!("{}\ncrc=1 nrows=oops\n", p.cache_header())).unwrap();
         assert!(matches!(p.load(&bpath), Err(SparseError::Parse(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -770,7 +833,7 @@ mod tests {
         // A large banded matrix is memory-bound: the model must pick a
         // byte-reducing format over plain CSR (the paper's headline
         // claim), and use every modeled core.
-        let p = Planner::new(PlannerConfig::default());
+        let p = Planner::new(streamed());
         let m = banded(200_000);
         let plan = p.plan_csr(&m).expect("plannable");
         assert_ne!(plan.format, FormatKind::Csr, "bandwidth-bound pick must compress");
@@ -784,5 +847,132 @@ mod tests {
             .expect("CSR/8 candidate present");
         assert!(csr8.memory_bound);
         assert!(plan.predicted_time_s <= csr8.predicted_time_s);
+    }
+
+    /// A planner that knows the host's LLC is `llc` bytes.
+    fn with_llc(llc: usize) -> PlannerConfig {
+        PlannerConfig { llc_bytes: Some(llc), ..PlannerConfig::default() }
+    }
+
+    #[test]
+    fn cache_resident_matrices_plan_csr_at_the_best_thread_count_without_encodes() {
+        let m = banded(20_000);
+        let p = Planner::new(with_llc(64 << 20));
+        let plan = p.plan_csr(&m).expect("plannable");
+        assert_eq!(p.stats().encodes, 0, "a cache-resident plan encodes no candidate");
+        assert_eq!(plan.format, FormatKind::Csr);
+        assert!(!plan.memory_bound);
+        assert_eq!(plan.matrix_bytes, m.size_bytes());
+        // Only CSR rows, one per thread candidate, none memory-bound.
+        let cfg = p.config();
+        assert_eq!(plan.ranking.len(), cfg.thread_candidates.len());
+        assert!(plan.ranking.iter().all(|c| c.format == FormatKind::Csr && !c.memory_bound));
+        // The plan is CSR's least predicted CPU time over the candidates.
+        let fc = FormatCost::csr(&m, &cfg.sim.cost).expect("non-degenerate");
+        let profile = MatrixProfile::from_csr(&m);
+        let (threads, cpu_s) = cfg
+            .thread_candidates
+            .iter()
+            .map(|&t| {
+                let place = Placement::close(t, &cfg.sim.machine);
+                (t, predict(&profile, &fc, &place, &cfg.sim).cpu_time_s)
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("thread candidates");
+        assert_eq!((plan.threads, plan.predicted_time_s), (threads, cpu_s));
+    }
+
+    #[test]
+    fn streamed_matrices_plan_exactly_as_under_an_unknown_llc() {
+        // Both working sets exceed 1 MiB × 0.8, so the known LLC changes
+        // nothing: same encodes, and the whole plan (format, threads,
+        // chunks, prediction, ranking) bit for bit.
+        for m in [banded(20_000), spmv_matgen::gen::random_uniform(20_000, 8, 3).to_csr()] {
+            let small = Planner::new(with_llc(1 << 20));
+            let unknown = Planner::new(streamed());
+            assert_eq!(small.plan_csr(&m).expect("plannable"), unknown.plan_csr(&m).unwrap());
+            assert_eq!(small.stats(), unknown.stats());
+            assert_eq!(small.stats().encodes, 3);
+        }
+    }
+
+    #[test]
+    fn regime_boundary_is_inclusive_at_ws_equal_to_llc_times_fit() {
+        let m = banded(5_000);
+        let ws = m.working_set().total();
+        // A fit factor of 1/2 makes `llc × fit` exact in f64.
+        let encodes_at = |llc: usize| {
+            let mut cfg = with_llc(llc);
+            cfg.sim.machine.cache_fit_factor = 0.5;
+            let p = Planner::new(cfg);
+            p.plan_csr(&m).expect("plannable");
+            p.stats().encodes
+        };
+        assert_eq!(encodes_at(2 * ws), 0, "ws == llc × fit is cache-resident");
+        assert_eq!(encodes_at(2 * ws - 1), 3, "half a byte over streams");
+    }
+
+    #[test]
+    fn compressed_formats_never_predict_less_cpu_time_than_csr() {
+        // The cache-resident regime skips the compressed candidates on
+        // the premise that, with no memory traffic, none of them can beat
+        // CSR under the cost model. A cost-model edit that breaks the
+        // premise must fail here, not silently mis-plan.
+        let sim = SimConfig::default();
+        let opts = DuOptions::default();
+        let corpus = spmv_matgen::corpus::corpus_scaled(0.002);
+        let mut checked = 0;
+        for entry in corpus.iter().filter(|e| e.in_m0()) {
+            let m: Csr = entry.build().to_csr();
+            let profile = MatrixProfile::from_csr(&m);
+            let csr = FormatCost::csr(&m, &sim.cost).expect("non-degenerate");
+            let compressed = [
+                FormatCost::csr_du(&CsrDu::from_csr(&m, &opts), &sim.cost),
+                FormatCost::csr_vi(&CsrVi::from_csr(&m), &sim.cost),
+                FormatCost::csr_duvi(&CsrDuVi::from_csr(&m, &opts), &sim.cost),
+            ];
+            for t in [1, 2, 4, 8] {
+                let place = Placement::close(t, &sim.machine);
+                let base = predict(&profile, &csr, &place, &sim).cpu_time_s;
+                for fc in &compressed {
+                    let fc = fc.as_ref().expect("non-degenerate");
+                    let cpu = predict(&profile, fc, &place, &sim).cpu_time_s;
+                    assert!(
+                        cpu >= base,
+                        "{} {} at {t} threads: CPU {cpu} s < CSR {base} s",
+                        entry.name,
+                        fc.kind.name()
+                    );
+                }
+            }
+            checked += 1;
+        }
+        assert!(checked > 50, "M0 corpus should contribute dozens of matrices, got {checked}");
+    }
+
+    #[test]
+    fn plan_cache_files_are_keyed_by_llc_and_v1_files_start_cold() {
+        let dir = std::env::temp_dir().join(format!("plancache-llc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("PLANCACHE");
+        let llc = 64 << 20;
+        let p = Planner::new(with_llc(llc));
+        p.plan_csr(&banded(10_000)).expect("plannable");
+        p.plan_csr(&banded(12_000)).expect("plannable");
+        p.save(&path).expect("save");
+
+        assert_eq!(Planner::new(with_llc(llc)).load(&path).expect("load"), 2);
+        assert_eq!(Planner::new(with_llc(32 << 20)).load(&path).expect("load"), 0);
+        assert_eq!(Planner::new(streamed()).load(&path).expect("load"), 0);
+
+        // The same entries under the previous (v1) header, which named no
+        // LLC: their picks may come from the other regime.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, body) = text.split_once('\n').expect("header line");
+        let v1 = dir.join("PLANCACHE.v1");
+        std::fs::write(&v1, format!("spmv-plan-cache v1\n{body}")).unwrap();
+        assert_eq!(Planner::new(with_llc(llc)).load(&v1).expect("load"), 0);
+        assert_eq!(Planner::new(streamed()).load(&v1).expect("load"), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

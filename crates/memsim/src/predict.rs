@@ -94,9 +94,12 @@ pub fn predict(
     per_die -= y_fit_per_die;
     let y_resident = y_fit_per_die * dies;
 
-    // Lookup tables (CSR-VI's unique values) are hot on every die.
+    // Lookup tables (CSR-VI's unique values) are hot on every die. The
+    // part of a table that does not fit is evicted between uses like the
+    // matrix stream, so it is re-fetched every iteration (step 2).
     let resident_tables = (fc.resident_bytes as f64).min(per_die);
     per_die -= resident_tables;
+    let table_overflow = fc.resident_bytes as f64 - resident_tables;
 
     let x_bytes = profile.x_footprint_bytes();
     // Windowed access => each die only caches its own row block's window;
@@ -138,7 +141,7 @@ pub fn predict(
     // y write-back traffic when y does not stay resident.
     let y_traffic = y_bytes - y_resident;
 
-    let traffic = matrix_traffic + x_traffic + y_traffic;
+    let traffic = matrix_traffic + table_overflow + x_traffic + y_traffic;
     let bw = placement.bandwidth(m);
     let mem_time = traffic / bw;
 
@@ -175,6 +178,7 @@ mod tests {
     use crate::cost::FormatCost;
     use crate::profile::MatrixProfile;
     use spmv_core::csr_du::{CsrDu, DuOptions};
+    use spmv_core::csr_duvi::CsrDuVi;
     use spmv_core::csr_vi::CsrVi;
     use spmv_core::Csr;
 
@@ -306,6 +310,31 @@ mod tests {
         );
         let gain = p_csr.time_s / p_vi.time_s;
         assert!((1.25..2.6).contains(&gain), "8T VI gain {gain}");
+    }
+
+    #[test]
+    fn overflowing_value_table_streams_and_du_vi_does_not_beat_du() {
+        // ttu = 1: every value unique, so the VI table (7.2 MB) is as big
+        // as the value array it replaces and overflows every die's L2.
+        // The overflow is re-fetched each iteration; counting it, the
+        // DU-VI stream is no smaller than DU's and its decode costs more.
+        let mut csr = spmv_matgen::gen::banded(100_000, 4, 1.0, 1).to_csr();
+        let vals: Vec<f64> = (0..csr.nnz()).map(|j| j as f64 + 0.5).collect();
+        csr.values_mut().copy_from_slice(&vals);
+        let c = cfg();
+        let profile = MatrixProfile::from_csr(&csr);
+        let duvi = CsrDuVi::from_csr(&csr, &DuOptions::default());
+        let fc_du = FormatCost::csr_du(&CsrDu::from_csr(&csr, &DuOptions::default()), &c.cost)
+            .expect("non-degenerate");
+        let fc_duvi = FormatCost::csr_duvi(&duvi, &c.cost).expect("non-degenerate");
+        assert!(fc_duvi.resident_bytes as f64 > c.machine.usable_cache(1));
+        for t in [1, 2, 4, 8] {
+            let place = Placement::close(t, &c.machine);
+            let du = predict(&profile, &fc_du, &place, &c);
+            let duvi = predict(&profile, &fc_duvi, &place, &c);
+            assert!(duvi.traffic_bytes >= du.traffic_bytes, "{t} threads: overflow is traffic");
+            assert!(duvi.time_s >= du.time_s, "{t} threads: DU-VI {duvi:?} beats DU {du:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! results, and answer evict + re-register cycles from the plan cache
 //! with zero fresh encodes.
 
-use spmv_core::{Coo, Csr, SpMv};
+use spmv_core::{Coo, Csr, FormatKind, SpMv};
 use spmv_service::{Request, ServiceBuilder, ServiceConfig, SpmvService};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,6 +54,27 @@ fn register_without_format_routes_through_planner() {
 
     let s = svc.planner_stats();
     assert_eq!((s.hits, s.misses), (0, 1));
+    svc.shutdown();
+}
+
+#[test]
+fn cache_resident_matrix_registers_as_csr_with_zero_encodes() {
+    let m = test_matrix(600);
+    let mut config = cfg();
+    config.planner.llc_bytes = Some(32 << 20);
+    let svc = ServiceBuilder::new(config).start();
+
+    let plan = svc.register_csr("resident", Arc::clone(&m)).expect("plannable matrix");
+    assert_eq!(plan.format, FormatKind::Csr, "a cache-resident matrix plans as CSR");
+    assert!(!plan.memory_bound);
+    assert_eq!(svc.planner_stats().encodes, 0, "no candidate encodes");
+
+    for shift in 0..3 {
+        let x: Vec<f64> = (0..m.ncols()).map(|i| ((i + shift) % 7) as f64 - 3.0).collect();
+        let mut want = vec![0.0; m.nrows()];
+        m.spmv(&x, &mut want);
+        assert_eq!(submit(&svc, "resident", x), want, "bit-identical to serial CSR");
+    }
     svc.shutdown();
 }
 

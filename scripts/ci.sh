@@ -21,6 +21,13 @@ cargo test -q
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== bench-tests (repository benchmark workloads, tiny sizes) =="
+# perfbench is a standalone package (its own workspace), so the workspace
+# test run above skips it. Its tests run the tiny solve/serve/graph
+# workloads with every output checked: a planner or service change that
+# breaks a workload fails here, not only in the benchmark pipeline.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "== fault-smoke (scripted fault recovery matrix) =="
 # Deterministic injected panics/stalls/deaths/corruption through both
 # parallel layers; every recovery must be bit-identical to serial.
@@ -130,11 +137,15 @@ cargo run -q --release -p spmv-bench --bin reproduce -- \
     check-bench target/shard-chaos/BENCH.json
 
 echo "== plan-smoke (adaptive planner + fingerprint-keyed plan cache) =="
-# Two planner-driven runs against the same --out: the cold run analyzes,
-# encodes, and measures every M0 matrix and persists the plan cache; the
-# warm run must serve every decision from that cache — zero misses, zero
-# new encodes (checked on the stable plan-cache counter line) — and its
+# Two planner-driven runs against the same --out: the cold run analyzes
+# and measures every M0 matrix and persists the plan cache; the warm run
+# must serve every decision from that cache — zero misses, zero new
+# encodes (checked on the stable plan-cache counter line) — and its
 # schema-v6 artifact must re-validate through the independent reader.
+# At scale 0.002 every matrix fits the LLC of any host whose LLC the
+# planner can read, so there the cold run plans CSR and encodes nothing
+# either; the candidate-encode and cache-replay path is covered by
+# tests/planner_differential.rs, which pins the streamed regime.
 rm -rf target/plan-smoke
 cargo run -q --release -p spmv-bench --bin reproduce -- \
     --scale 0.002 --iters 2 --out target/plan-smoke plan

@@ -7,6 +7,11 @@
 //! because none of the model's inputs (nnz distribution, row spans,
 //! x-line touches, per-row delta structure, value set) depend on which
 //! label a row carries.
+//!
+//! Every planner here runs the streamed (bandwidth-model) regime
+//! (`llc_bytes: None`): at this corpus scale each matrix fits a modern
+//! LLC, where the planner picks CSR without encoding, and these checks
+//! need the compressed candidates and their encodes.
 
 use proptest::prelude::*;
 use spmv_core::checked::{CheckOptions, CheckedSpMv};
@@ -16,6 +21,10 @@ use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Coo, Csr, FormatKind};
 use spmv_matgen::permute::{permute_rows, random_permutation};
 use spmv_memsim::{Planner, PlannerConfig};
+
+fn streamed() -> PlannerConfig {
+    PlannerConfig { llc_bytes: None, ..PlannerConfig::default() }
+}
 
 /// Bit-identical comparison: check every row with zero ULP tolerance.
 const EXACT: CheckOptions = CheckOptions { sample_rows: 0, max_ulps: 0 };
@@ -29,7 +38,7 @@ fn check_exact(kernel: &dyn spmv_core::SpMv<f64>, csr: &Csr<u32, f64>) {
 
 #[test]
 fn every_corpus_plan_computes_bit_identically_to_csr() {
-    let planner = Planner::new(PlannerConfig::default());
+    let planner = Planner::new(streamed());
     let corpus = spmv_matgen::corpus::corpus_scaled(0.002);
     let mut planned = 0usize;
     for entry in corpus.iter().filter(|e| e.in_m0()) {
@@ -51,7 +60,7 @@ fn every_corpus_plan_computes_bit_identically_to_csr() {
 
 #[test]
 fn second_pass_is_all_cache_hits_with_zero_new_encodes() {
-    let planner = Planner::new(PlannerConfig::default());
+    let planner = Planner::new(streamed());
     let corpus = spmv_matgen::corpus::corpus_scaled(0.002);
     let matrices: Vec<Csr> =
         corpus.iter().filter(|e| e.in_m0()).map(|e| e.build().to_csr()).collect();
@@ -105,10 +114,10 @@ proptest! {
     ) {
         let coo = ring(n);
         let permuted = permute_rows(&coo, &random_permutation(n, seed));
-        let original = Planner::new(PlannerConfig::default())
+        let original = Planner::new(streamed())
             .plan_csr(&coo.to_csr())
             .expect("ring plans");
-        let relabelled = Planner::new(PlannerConfig::default())
+        let relabelled = Planner::new(streamed())
             .plan_csr(&permuted.to_csr())
             .expect("permuted ring plans");
         prop_assert_eq!(original.format, relabelled.format);
