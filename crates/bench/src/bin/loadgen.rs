@@ -492,16 +492,13 @@ fn main() {
             plan_cache: None,
             spmspv: None,
         };
-        let mut text = serde_json::to_string_pretty(&file).expect("serialize BENCH.json");
-        text.push('\n');
-        if let Err(e) = spmv_bench::metrics::validate_bench_text(&text) {
-            eprintln!("loadgen: refusing to write invalid artifact: {e}");
-            std::process::exit(1);
+        match spmv_bench::metrics::write_bench(dir, &file) {
+            Ok(path) => eprintln!("  wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("loadgen: refusing to write invalid artifact: {e}");
+                std::process::exit(1);
+            }
         }
-        std::fs::create_dir_all(dir).expect("create --out dir");
-        let path = dir.join("BENCH.json");
-        std::fs::write(&path, text).expect("write BENCH.json");
-        eprintln!("  wrote {}", path.display());
     }
 
     if args.require_shed && shed == 0 {

@@ -38,8 +38,8 @@
 //! measures with (default `auto` = runtime detection; requesting an ISA
 //! the host lacks is a CLI error).
 //!
-//! Build with `--features telemetry` for BENCH.json records to include
-//! per-worker busy times and load-imbalance ratios.
+//! Every multithreaded `bench` record in BENCH.json includes per-worker
+//! busy times and the load-imbalance ratio.
 
 use spmv_bench::figures::{figure_series, format_figure};
 use spmv_bench::measured::{measure_serial, PAPER_ITERATIONS};
@@ -735,7 +735,7 @@ fn verify(args: &Args) -> bool {
 /// section carries the evidence.
 fn graph_cmd(args: &Args) {
     use spmv_bench::graph::{collect_graph, GraphOptions};
-    use spmv_bench::metrics::validate_bench_text;
+    use spmv_bench::metrics::write_bench;
 
     let opts = GraphOptions {
         scale: args.scale.min(0.25), // keep graph mode quick, like bench
@@ -793,16 +793,8 @@ fn graph_cmd(args: &Args) {
         opts.threads,
         summary.matrices.len()
     );
-    let text = {
-        let mut t = serde_json::to_string_pretty(&file).expect("serialize BENCH.json");
-        t.push('\n');
-        t
-    };
-    validate_bench_text(&text).expect("freshly emitted BENCH.json must satisfy its own schema");
     let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = dir.join("BENCH.json");
-    std::fs::write(&path, text).expect("write BENCH.json");
+    let path = write_bench(&dir, &file).expect("write BENCH.json");
     println!(
         "wrote {} ({} graph matrices, schema v{})",
         path.display(),
@@ -812,7 +804,7 @@ fn graph_cmd(args: &Args) {
 }
 
 fn bench(args: &Args) {
-    use spmv_bench::metrics::{collect_bench, validate_bench_text, BenchOptions};
+    use spmv_bench::metrics::{collect_bench, write_bench, BenchOptions};
     let opts = BenchOptions {
         scale: args.scale.min(0.25), // keep bench mode quick, like measured
         iters: args.iters.unwrap_or(BenchOptions::default().iters),
@@ -873,22 +865,13 @@ fn bench(args: &Args) {
             r.roofline_fraction,
         );
     }
-    let text = {
-        let mut t = serde_json::to_string_pretty(&file).expect("serialize BENCH.json");
-        t.push('\n');
-        t
-    };
-    validate_bench_text(&text).expect("freshly emitted BENCH.json must satisfy its own schema");
     let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = dir.join("BENCH.json");
-    std::fs::write(&path, text).expect("write BENCH.json");
+    let path = write_bench(&dir, &file).expect("write BENCH.json");
     println!(
-        "\nwrote {} ({} records, schema v{}{})",
+        "\nwrote {} ({} records, schema v{})",
         path.display(),
         file.records.len(),
         file.schema_version,
-        if cfg!(feature = "telemetry") { ", telemetry on" } else { ", telemetry off" }
     );
 }
 
@@ -899,7 +882,7 @@ fn bench(args: &Args) {
 /// re-encoded, and the cold run's measured medians are replayed — the
 /// closing `plan-cache:` line is what CI's plan-smoke gate greps.
 fn plan_cmd(args: &Args) {
-    use spmv_bench::metrics::validate_bench_text;
+    use spmv_bench::metrics::write_bench;
     use spmv_bench::planning::{degenerate_probes, run_planned, PlanRunOptions, PLAN_CACHE_FILE};
     use spmv_memsim::{Planner, PlannerConfig};
 
@@ -911,7 +894,9 @@ fn plan_cmd(args: &Args) {
     let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
     let cache_path = dir.join(PLAN_CACHE_FILE);
 
-    let planner = Planner::new(PlannerConfig::default());
+    // Plan with the LLC unknown: the streamed (bandwidth-model) regime of
+    // the paper's Clovertown runs, whatever this host's cache holds.
+    let planner = Planner::new(PlannerConfig { llc_bytes: None, ..PlannerConfig::default() });
     if cache_path.exists() {
         match planner.load(&cache_path) {
             Ok(n) => println!("loaded {n} cached plans from {}", cache_path.display()),
@@ -967,15 +952,7 @@ fn plan_cmd(args: &Args) {
         }
     };
 
-    let text = {
-        let mut t = serde_json::to_string_pretty(&file).expect("serialize BENCH.json");
-        t.push('\n');
-        t
-    };
-    validate_bench_text(&text).expect("freshly emitted BENCH.json must satisfy its own schema");
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = dir.join("BENCH.json");
-    std::fs::write(&path, text).expect("write BENCH.json");
+    let path = write_bench(&dir, &file).expect("write BENCH.json");
     planner.save(&cache_path).expect("persist plan cache");
 
     let replayed = outcomes.iter().filter(|o| o.replayed).count();

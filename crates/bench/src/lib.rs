@@ -12,8 +12,8 @@
 //! [`measured::TimingStats`], adaptive warm-up) and [`metrics`] (the
 //! bandwidth model joining time to working-set bytes, and the
 //! schema-versioned `BENCH.json` artifact validated through the
-//! [`jsonv`] reader). Enable the `telemetry` feature to also record
-//! per-worker busy times and imbalance ratios into each record.
+//! [`jsonv`] reader). Multithreaded records also carry per-worker busy
+//! times and imbalance ratios.
 
 pub mod figures;
 pub mod graph;

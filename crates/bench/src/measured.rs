@@ -240,52 +240,6 @@ pub fn measure_serial_with<V: Scalar>(
     summarize(m.flops(), warmed, &samples)
 }
 
-/// Measures `iters` multithreaded iterations of a planned executor with
-/// default [`WarmupOpts`]. The plan's persistent worker pool was spawned
-/// at plan time (the paper's spawn-once protocol), so the timed loop
-/// contains only pool dispatches.
-pub fn measure_parallel<V: Scalar>(
-    m: &dyn SpMv<V>,
-    par: &mut dyn ParSpMv<V>,
-    iters: usize,
-    seed: u64,
-) -> Result<Measurement, SparseError> {
-    measure_parallel_with(m, par, iters, seed, &WarmupOpts::default())
-}
-
-/// [`measure_parallel`] with an explicit warm-up policy.
-///
-/// Warm-up telemetry is drained (and discarded) before the timed loop,
-/// so a [`ParSpMv::take_telemetry`] call right after this function
-/// returns covers exactly the `iters` timed dispatches.
-pub fn measure_parallel_with<V: Scalar>(
-    m: &dyn SpMv<V>,
-    par: &mut dyn ParSpMv<V>,
-    iters: usize,
-    seed: u64,
-    warmup: &WarmupOpts,
-) -> Result<Measurement, SparseError> {
-    if iters == 0 {
-        return Err(SparseError::InvalidArgument(
-            "measure_parallel requires iters >= 1 (a zero-iteration measurement has no data)"
-                .into(),
-        ));
-    }
-    let x = random_x::<V>(m.ncols(), seed);
-    let mut y = vec![V::zero(); m.nrows()];
-    let warmed = adaptive_warmup(warmup, || {
-        par.par_spmv(&x, &mut y);
-        std::hint::black_box(&mut y);
-    });
-    // Reset the telemetry window so it covers only the timed loop.
-    let _ = par.take_telemetry();
-    let samples = collect_samples(iters, || {
-        par.par_spmv(&x, &mut y);
-        std::hint::black_box(&mut y);
-    });
-    summarize(m.flops(), warmed, &samples)
-}
-
 /// Measures `iters` serial SpMM iterations of `m` with a `k`-wide
 /// row-major x panel. FLOPs per iteration are `2 * nnz * k` (one
 /// multiply-add per non-zero per vector); the matrix bytes stream once
@@ -319,9 +273,14 @@ pub fn measure_serial_spmm_with<V: Scalar>(
     summarize(m.flops() * k, warmed, &samples)
 }
 
-/// Measures `iters` multithreaded SpMM iterations of a planned executor;
-/// the SpMM analogue of [`measure_parallel_with`] (spawn-once pool, warm-
-/// up telemetry drained before the timed loop).
+/// Measures `iters` multithreaded SpMM iterations of a planned executor
+/// (`k = 1` measures plain SpMV). The plan's persistent worker pool was
+/// spawned at plan time (the paper's spawn-once protocol), so the timed
+/// loop contains only pool dispatches.
+///
+/// Warm-up telemetry is drained (and discarded) before the timed loop,
+/// so a [`ParSpMv::take_telemetry`] call right after this function
+/// returns covers exactly the `iters` timed dispatches.
 pub fn measure_parallel_spmm_with<V: Scalar>(
     m: &dyn SpMv<V>,
     par: &mut dyn ParSpMm<V>,
@@ -346,7 +305,7 @@ pub fn measure_parallel_spmm_with<V: Scalar>(
         std::hint::black_box(&mut y);
     });
     // Reset the telemetry window so it covers only the timed loop.
-    let _ = par.take_telemetry();
+    par.take_telemetry();
     let samples = collect_samples(iters, || {
         par.par_spmm(&x, k, &mut y);
         std::hint::black_box(&mut y);
@@ -440,7 +399,7 @@ pub fn validate_parallel<I: SpIndex, V: Scalar>(
 
 /// Runs the driver-based barrier protocol once, as a smoke check that the
 /// spawn-once path works (used by tests; heavy measurement uses
-/// [`measure_parallel`]).
+/// [`measure_parallel_spmm_with`]).
 pub fn barrier_smoke(iters: usize, nthreads: usize) {
     IterationDriver::new(nthreads, iters).run(|_, _| {});
 }
@@ -475,7 +434,8 @@ mod tests {
         assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 2);
-        let err = measure_parallel(&du, &mut par, 0, 1).unwrap_err();
+        let err =
+            measure_parallel_spmm_with(&du, &mut par, 1, 0, 1, &WarmupOpts::default()).unwrap_err();
         assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
     }
 
@@ -485,7 +445,7 @@ mod tests {
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 3);
         validate_parallel(&du, &csr, &mut par, 7).unwrap();
-        let m = measure_parallel(&du, &mut par, 3, 7).unwrap();
+        let m = measure_parallel_spmm_with(&du, &mut par, 1, 3, 7, &WarmupOpts::default()).unwrap();
         assert!(m.per_iter_s > 0.0);
         assert_eq!(m.stats.samples, 3);
     }

@@ -22,9 +22,9 @@
 //! formats × thread counts) and returns a schema-versioned [`BenchFile`]
 //! that the `reproduce bench` command serializes as `BENCH.json`;
 //! [`validate_bench_text`] re-parses and checks that artifact (CI's
-//! `bench-smoke` gate, and `reproduce check-bench`). With the `telemetry`
-//! feature enabled, multithreaded records also carry per-worker busy
-//! times and the load-imbalance ratio ([`TelemetryRecord`]).
+//! `bench-smoke` gate, and `reproduce check-bench`), and [`write_bench`]
+//! validates and writes it. Multithreaded records also carry per-worker
+//! busy times and the load-imbalance ratio ([`TelemetryRecord`]).
 
 use crate::jsonv::Json;
 use crate::measured::{
@@ -39,6 +39,7 @@ use spmv_core::csr_vi::CsrVi;
 use spmv_core::stats::effective_bandwidth;
 use spmv_core::{Csr, Isa, SpMm, SparseError};
 use spmv_parallel::{ParCsr, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMm, PoolTelemetry};
+use std::path::{Path, PathBuf};
 
 /// Version stamped into every `BENCH.json`; bump on any breaking change
 /// to the record layout (consumers must check it before reading fields).
@@ -118,7 +119,7 @@ impl MachineInfo {
 }
 
 /// Per-worker execution telemetry attached to a multithreaded record
-/// (requires the `telemetry` feature; absent → `null` in the JSON).
+/// (`null` in the JSON for serial and planned records).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetryRecord {
     /// Nanoseconds each thread spent executing dispatched work over the
@@ -400,7 +401,7 @@ pub struct BenchRecord {
     /// cell runs to the measured stream ceiling. May exceed 1.0 for
     /// cache-resident working sets (the ceiling is a *memory* figure).
     pub roofline_fraction: f64,
-    /// Per-worker telemetry (`telemetry` feature, threads > 1 only).
+    /// Per-worker telemetry (measured threads > 1 records only).
     pub telemetry: Option<TelemetryRecord>,
     /// Whether this record's (format, threads) cell was chosen by the
     /// planner rather than swept exhaustively (schema v6).
@@ -597,8 +598,7 @@ pub fn collect_bench(opts: &BenchOptions) -> Result<BenchFile, SparseError> {
                             opts.seed,
                             &opts.warmup,
                         )?;
-                        let telemetry = par.take_telemetry().map(TelemetryRecord::from);
-                        (m, telemetry)
+                        (m, Some(TelemetryRecord::from(par.take_telemetry())))
                     };
                     let median = m.stats.median_s;
                     let effective = effective_bandwidth(fmt_bytes, 1, median) / 1e9;
@@ -947,6 +947,20 @@ fn validate_graph(graph: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// Serializes `file`, validates the text through [`validate_bench_text`]
+/// and writes it as `dir/BENCH.json` (creating `dir`), so no artifact
+/// that fails its own schema reaches disk. Returns the written path.
+pub fn write_bench(dir: &Path, file: &BenchFile) -> Result<PathBuf, String> {
+    let mut text =
+        serde_json::to_string_pretty(file).map_err(|e| format!("serialize BENCH.json: {e}"))?;
+    text.push('\n');
+    validate_bench_text(&text)?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let path = dir.join("BENCH.json");
+    std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
 /// Validates `text` as a current-schema `BENCH.json`: parses the JSON,
 /// checks the version stamp, and requires every field the schema promises
 /// with the right shape. Used by `reproduce check-bench` and the
@@ -1107,7 +1121,7 @@ pub fn validate_bench_text(text: &str) -> Result<(), String> {
             }
         }
         match rec.get("telemetry") {
-            None => return Err(format!("{ctx}: missing \"telemetry\" (null when disabled)")),
+            None => return Err(format!("{ctx}: missing \"telemetry\" (null when not measured)")),
             Some(t) if t.is_null() => {}
             Some(t) => {
                 let tctx = format!("{ctx}.telemetry");
@@ -1198,21 +1212,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_presence_tracks_the_feature() {
+    fn parallel_records_carry_telemetry() {
         let file = collect_bench(&tiny_opts()).unwrap();
         let parallel: Vec<_> = file.records.iter().filter(|r| r.threads > 1).collect();
         assert!(!parallel.is_empty());
         for rec in parallel {
-            #[cfg(feature = "telemetry")]
-            {
-                let t = rec.telemetry.as_ref().expect("telemetry feature is on");
-                assert!(t.imbalance >= 1.0);
-                assert_eq!(t.busy_ns.len(), t.chunks.len());
-                assert!(t.dispatches >= file.iterations as u64, "window covers the timed loop");
-                assert!(t.busy_ns.iter().sum::<u64>() > 0);
-            }
-            #[cfg(not(feature = "telemetry"))]
-            assert!(rec.telemetry.is_none());
+            let t = rec.telemetry.as_ref().expect("parallel records carry telemetry");
+            assert!(t.imbalance >= 1.0);
+            assert_eq!(t.busy_ns.len(), rec.threads);
+            assert_eq!(t.busy_ns.len(), t.chunks.len());
+            assert!(t.dispatches >= file.iterations as u64, "window covers the timed loop");
+            assert!(t.busy_ns.iter().sum::<u64>() > 0);
         }
     }
 

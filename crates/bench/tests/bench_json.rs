@@ -1,12 +1,12 @@
 //! The BENCH.json contract: serialize -> parse -> field-by-field
 //! agreement (golden schema), determinism of non-timing fields across
-//! runs, and telemetry presence tracking the feature flag.
+//! runs, telemetry on every parallel record, and the validated writer.
 
 use spmv_bench::jsonv::Json;
 use spmv_bench::measured::TimingStats;
 use spmv_bench::metrics::{
-    collect_bench, validate_bench_text, BenchFile, BenchOptions, BenchRecord, MachineInfo,
-    PlanCacheSummary, PlannerDecisionRecord, TelemetryRecord, BENCH_SCHEMA_VERSION,
+    collect_bench, validate_bench_text, write_bench, BenchFile, BenchOptions, BenchRecord,
+    MachineInfo, PlanCacheSummary, PlannerDecisionRecord, TelemetryRecord, BENCH_SCHEMA_VERSION,
 };
 
 /// A hand-built artifact with every field at a distinctive value, so the
@@ -230,7 +230,7 @@ fn two_runs_agree_on_all_non_timing_fields() {
 }
 
 #[test]
-fn emitted_artifact_telemetry_matches_feature() {
+fn emitted_parallel_records_carry_telemetry() {
     let opts = BenchOptions {
         scale: 0.002,
         iters: 2,
@@ -248,10 +248,26 @@ fn emitted_artifact_telemetry_matches_feature() {
         let t = rec.get("telemetry").expect("field always present");
         if threads <= 1.0 {
             assert!(t.is_null(), "serial records have null telemetry");
-        } else if cfg!(feature = "telemetry") {
-            assert!(t.is_obj(), "parallel records carry telemetry when the feature is on");
         } else {
-            assert!(t.is_null(), "telemetry is null with the feature off");
+            assert!(t.is_obj(), "parallel records carry telemetry");
+            let busy = t.get("busy_ns").and_then(Json::as_arr).expect("busy_ns array");
+            assert_eq!(busy.len() as f64, threads, "one busy counter per thread");
+            assert!(num(t, "imbalance") >= 1.0);
         }
     }
+}
+
+#[test]
+fn write_bench_writes_only_valid_artifacts() {
+    let dir = std::env::temp_dir().join(format!("spmv-bench-write-{}", std::process::id()));
+    let path = write_bench(&dir, &golden_file()).expect("golden artifact is valid");
+    assert_eq!(path, dir.join("BENCH.json"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.ends_with("}\n"));
+    validate_bench_text(&text).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stale = BenchFile { schema_version: 0, ..golden_file() };
+    assert!(write_bench(&dir, &stale).unwrap_err().contains("schema_version"));
+    assert!(!path.exists(), "an invalid artifact must not reach disk");
+    std::fs::remove_dir(&dir).unwrap();
 }

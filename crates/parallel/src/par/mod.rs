@@ -11,7 +11,9 @@
 //! steady-state [`ParSpMv::par_spmv`] call spawns no threads and performs
 //! no heap allocation: the pool is woken, each thread runs its planned
 //! block, and executors that need cross-thread reductions run them as a
-//! second chunked dispatch on the same pool.
+//! second chunked dispatch on the same pool. Every dispatch records
+//! per-thread busy time into the pool's telemetry, which
+//! [`ParSpMv::take_telemetry`] drains.
 //!
 //! Output safety: `y` (and any plan-owned scratch) is handed to threads
 //! through [`DisjointSlices`], with ranges taken from partitions whose
@@ -42,11 +44,11 @@ pub trait ParSpMv<V: Scalar>: Send {
     /// Computes `y = A·x` using the planned partition.
     fn par_spmv(&mut self, x: &[V], y: &mut [V]);
     /// Drains this plan's per-worker telemetry accumulated since the last
-    /// drain (see [`WorkerPool::take_telemetry`]). Returns `None` when the
-    /// crate's `telemetry` feature is off. The default exists for external
-    /// implementors; every executor in this module forwards to its pool.
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        None
+    /// drain (see [`WorkerPool::take_telemetry`]). The default, an empty
+    /// snapshot, exists for external implementors; every executor in this
+    /// module forwards to its pool.
+    fn take_telemetry(&mut self) -> PoolTelemetry {
+        PoolTelemetry::default()
     }
 }
 
@@ -185,7 +187,7 @@ impl<V: Scalar, K: ChunkKernel<V>> ParSpMv<V> for ParChunks<K> {
         self.rows.len()
     }
 
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+    fn take_telemetry(&mut self) -> PoolTelemetry {
         self.pool.take_telemetry()
     }
 
@@ -248,7 +250,7 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCscColumns<'_, I, V> {
         self.partition.nparts()
     }
 
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+    fn take_telemetry(&mut self) -> PoolTelemetry {
         self.pool.take_telemetry()
     }
 
@@ -357,7 +359,7 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsrBlock2d<'_, I, V> {
         self.grid.len()
     }
 
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+    fn take_telemetry(&mut self) -> PoolTelemetry {
         self.pool.take_telemetry()
     }
 
@@ -446,7 +448,7 @@ impl<V: Scalar> ParSpMv<V> for ParDcsr<'_, V> {
         self.splits.len()
     }
 
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+    fn take_telemetry(&mut self) -> PoolTelemetry {
         self.pool.take_telemetry()
     }
 
@@ -505,7 +507,7 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParSymCsr<'_, I, V> {
         self.partition.nparts()
     }
 
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+    fn take_telemetry(&mut self) -> PoolTelemetry {
         self.pool.take_telemetry()
     }
 

@@ -9,6 +9,9 @@
 //! closure (the caller participates as thread 0) and returns once every
 //! thread has finished. Steady-state dispatch is two mutex round-trips and
 //! two condvar signals per call — no spawn, no join, no allocation.
+//! Every dispatch also records each thread's busy time and job count in
+//! that thread's telemetry slot, which holds its watchdog heartbeat too
+//! (see [`crate::telemetry`]); [`WorkerPool::take_telemetry`] drains it.
 //! Dispatch takes `&mut self`, and a drop guard keeps the dispatch
 //! handshake intact across panics: `run` always waits for every worker
 //! before returning *or unwinding*, and a panic on any thread is re-raised
@@ -19,13 +22,12 @@
 //! consecutive rounds (and none after the last — the pool's own completion
 //! handshake already joins it).
 
-use crate::telemetry::PoolTelemetry;
+use crate::telemetry::{PoolTelemetry, TelemetrySink};
 use spmv_core::SparseError;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -78,32 +80,12 @@ struct Shared {
     work_cv: Condvar,
     /// The dispatching caller parks here until `active` drains to zero.
     done_cv: Condvar,
-    /// `heartbeats[tid - 1]` is bumped by worker `tid` at job pickup and
-    /// completion; a counter that stops advancing while the worker is
-    /// active marks it as stalled or dead for the watchdog.
-    heartbeats: Vec<AtomicU64>,
-    /// Per-thread busy-time/job counters (slot 0 = caller); drained by
-    /// [`WorkerPool::take_telemetry`].
-    #[cfg(feature = "telemetry")]
-    telemetry: crate::telemetry::TelemetrySink,
-}
-
-/// Runs `f`, crediting its wall time to `tid`'s telemetry slot. Compiles
-/// to a plain call without the `telemetry` feature.
-#[inline]
-fn record_busy<R>(shared: &Shared, tid: usize, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "telemetry")]
-    {
-        let t0 = Instant::now();
-        let r = f();
-        shared.telemetry.record(tid, t0.elapsed());
-        r
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (shared, tid);
-        f()
-    }
+    /// Per-thread counters (slot 0 = caller): busy time and jobs, drained
+    /// by [`WorkerPool::take_telemetry`], and the heartbeat worker `tid`
+    /// bumps at job pickup and completion — a heartbeat that stops
+    /// advancing while the worker is active marks it as stalled or dead
+    /// for the watchdog.
+    telemetry: TelemetrySink,
 }
 
 /// Something the pool's watchdog observed and recovered from (or flagged).
@@ -256,7 +238,7 @@ impl Drop for DrainGuard<'_> {
                 // synchronizes with the thread's termination). The re-run
                 // happens on the caller's stack, so its time is credited
                 // to telemetry slot 0.
-                let outcome = record_busy(self.shared, 0, || {
+                let outcome = self.shared.telemetry.record(0, || {
                     panic::catch_unwind(AssertUnwindSafe(|| unsafe {
                         (*self.job.0)(tid);
                     }))
@@ -343,9 +325,7 @@ impl WorkerPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            heartbeats: (1..nthreads).map(|_| AtomicU64::new(0)).collect(),
-            #[cfg(feature = "telemetry")]
-            telemetry: crate::telemetry::TelemetrySink::new(nthreads),
+            telemetry: TelemetrySink::new(nthreads),
         });
         let handles = (1..nthreads).map(|tid| spawn_worker(&shared, tid, 0)).collect();
         WorkerPool { shared, handles, nthreads, deadline: deadline.max(Duration::from_millis(1)) }
@@ -362,7 +342,7 @@ impl WorkerPool {
     /// completion; a counter frozen during a dispatch marks that worker
     /// stalled or dead.
     pub fn heartbeats(&self) -> Vec<u64> {
-        self.shared.heartbeats.iter().map(|h| h.load(Ordering::Acquire)).collect()
+        self.shared.telemetry.heartbeats(1..self.nthreads)
     }
 
     /// Drains the fault-tolerance events recorded since the last call —
@@ -373,19 +353,10 @@ impl WorkerPool {
     }
 
     /// Drains per-thread telemetry (busy time, job counts, dispatch
-    /// count) accumulated since construction or the last drain. Returns
-    /// `None` unless the crate's `telemetry` feature is enabled —
-    /// recording code is compiled out entirely when off, so the method
-    /// exists (and types check) in both configurations at zero cost.
-    pub fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        #[cfg(feature = "telemetry")]
-        {
-            Some(self.shared.telemetry.snapshot_and_reset())
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+    /// count) accumulated since construction or the last drain. The
+    /// drain leaves [`WorkerPool::heartbeats`] untouched.
+    pub fn take_telemetry(&mut self) -> PoolTelemetry {
+        self.shared.telemetry.snapshot_and_reset()
     }
 
     /// Replaces any worker whose thread has terminated (death is observed
@@ -432,13 +403,11 @@ impl WorkerPool {
     {
         if self.nthreads == 1 {
             // Serial fast path: no handshake at all.
-            #[cfg(feature = "telemetry")]
             self.shared.telemetry.record_dispatch();
-            record_busy(&self.shared, 0, || f(0));
+            self.shared.telemetry.record(0, || f(0));
             return;
         }
         self.ensure_workers();
-        #[cfg(feature = "telemetry")]
         self.shared.telemetry.record_dispatch();
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // Erase the borrow's lifetime; see `Job` for why this is sound.
@@ -467,7 +436,7 @@ impl WorkerPool {
             job,
             deadline: self.deadline,
         };
-        record_busy(&self.shared, 0, || f(0));
+        self.shared.telemetry.record(0, || f(0));
         drop(guard);
     }
 }
@@ -510,7 +479,7 @@ fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
                 st = shared.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        shared.heartbeats[tid - 1].fetch_add(1, Ordering::AcqRel);
+        shared.telemetry.beat(tid);
         // Fault injection (tests only): a scripted `ExitThread` makes this
         // thread terminate *without* completing its slice — exactly the
         // failure the watchdog's dead-worker takeover recovers from. A
@@ -531,9 +500,9 @@ fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
         // job must not unwind past the decrement below — it would strand
         // `active` and deadlock the caller forever — so it is caught here
         // and re-raised by `run` on the caller's stack instead.
-        let outcome = record_busy(shared, tid, || {
-            panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(tid) }))
-        });
+        let outcome = shared
+            .telemetry
+            .record(tid, || panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(tid) })));
         let mut st = lock_state(shared);
         if let Err(payload) = outcome {
             // Keep the first panic; later ones add nothing for the caller.
@@ -545,7 +514,7 @@ fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
         st.active -= 1;
         let done = st.active == 0;
         drop(st);
-        shared.heartbeats[tid - 1].fetch_add(1, Ordering::AcqRel);
+        shared.telemetry.beat(tid);
         if done {
             shared.done_cv.notify_one();
         }
@@ -774,23 +743,6 @@ impl IterationDriver {
     }
 }
 
-/// A tiny work-stealing-free dynamic counter for irregular tasks: threads
-/// repeatedly claim the next index until `n` is exhausted. Useful for
-/// embarrassingly parallel per-matrix jobs in the harness.
-pub fn parallel_for_dynamic<F>(nthreads: usize, n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let next = AtomicUsize::new(0);
-    run_on_threads(nthreads.max(1), |_tid| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        f(i);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn take_telemetry_matches_feature_state() {
+    fn take_telemetry_counts_every_dispatch() {
         let mut pool = WorkerPool::new(3);
         for _ in 0..5 {
             pool.run(|_tid| {
@@ -970,31 +922,43 @@ mod tests {
             });
         }
         let t = pool.take_telemetry();
-        #[cfg(feature = "telemetry")]
-        {
-            let t = t.expect("telemetry feature enabled");
-            assert_eq!(t.busy_ns.len(), 3);
-            assert_eq!(t.dispatches, 5);
-            // Every thread ran exactly one job per dispatch.
-            assert_eq!(t.chunks, vec![5, 5, 5]);
-            assert!(t.imbalance() >= 1.0);
-            // The drain resets the window.
-            assert_eq!(pool.take_telemetry().expect("still enabled").dispatches, 0);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        assert!(t.is_none(), "telemetry must be absent when the feature is off");
+        assert_eq!(t.busy_ns.len(), 3);
+        assert_eq!(t.dispatches, 5);
+        // Every thread ran exactly one job per dispatch.
+        assert_eq!(t.chunks, vec![5, 5, 5]);
+        assert!(t.imbalance() >= 1.0);
+        // The drain resets the window.
+        assert_eq!(pool.take_telemetry().dispatches, 0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_covers_serial_fast_path() {
         let mut pool = WorkerPool::new(1);
         pool.run(|_tid| {
             std::hint::black_box(0u64);
         });
-        let t = pool.take_telemetry().expect("telemetry feature enabled");
+        let t = pool.take_telemetry();
         assert_eq!(t.dispatches, 1);
         assert_eq!(t.chunks, vec![1]);
+        assert!(pool.heartbeats().is_empty(), "the caller has no heartbeat");
+    }
+
+    #[test]
+    fn take_telemetry_leaves_heartbeats_running() {
+        // Heartbeats share each thread's telemetry slot; a drain resets
+        // only busy time, jobs and dispatches.
+        let mut pool = WorkerPool::new(3);
+        for _ in 0..4 {
+            pool.run(|_tid| {});
+        }
+        // A worker beats at pickup and completion of every job; `run` may
+        // return just before the last completion beat lands, so each
+        // worker shows 7 or 8 beats.
+        let beats = |pool: &WorkerPool| pool.heartbeats().iter().all(|&h| (7..=8).contains(&h));
+        assert!(beats(&pool), "{:?}", pool.heartbeats());
+        assert_eq!(pool.take_telemetry().chunks, vec![4, 4, 4]);
+        assert!(beats(&pool), "drain reset the heartbeats: {:?}", pool.heartbeats());
+        assert_eq!(pool.take_telemetry().chunks, vec![0, 0, 0]);
     }
 
     #[test]
@@ -1067,14 +1031,5 @@ mod tests {
                 assert_eq!(covered, n);
             }
         }
-    }
-
-    #[test]
-    fn parallel_for_dynamic_covers_all_indices() {
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_dynamic(4, 100, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

@@ -33,7 +33,9 @@
 //! plus a [`HealthReport`] saying what happened. Under
 //! [`RecoveryPolicy::FailFast`] the first fault aborts the call with a
 //! typed [`PoolError`] instead (the output buffer is left untouched); the
-//! executor itself stays usable either way.
+//! executor itself stays usable either way. Every successful report also
+//! carries the call's per-thread heartbeats and busy-time telemetry, both
+//! kept in one cache-line slot per thread.
 //!
 //! ## Buffer sets
 //!
@@ -59,12 +61,12 @@
 
 pub use crate::chunks::{ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
 use crate::pool::{watchdog_deadline, RangeLedger};
-use crate::telemetry::PoolTelemetry;
+use crate::telemetry::{PoolTelemetry, TelemetrySink};
 use spmv_core::Scalar;
 use std::cell::{OnceCell, UnsafeCell};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -189,9 +191,8 @@ pub struct HealthReport {
     /// that did little work — diagnostic context for the events above.
     pub heartbeats: Vec<u64>,
     /// Per-thread busy time and chunk counts for this call (`dispatches`
-    /// is always 1). `None` unless the crate's `telemetry` feature is
-    /// enabled; recording is compiled out entirely when off.
-    pub telemetry: Option<PoolTelemetry>,
+    /// is always 1; empty when the call had no chunk to run).
+    pub telemetry: PoolTelemetry,
 }
 
 impl HealthReport {
@@ -440,39 +441,17 @@ struct Dispatch<V: Scalar> {
     published: Vec<AtomicBool>,
     progress: Mutex<Progress>,
     done_cv: Condvar,
-    /// Per-thread heartbeats (index = tid), bumped at chunk claim and
-    /// completion. Diagnostic only; exposed through
-    /// [`HealthReport::heartbeats`].
-    hb: Vec<AtomicU64>,
-    /// Per-thread busy nanoseconds (index = tid); each thread adds only
-    /// to its own counter, relaxed ordering (diagnostics, not
-    /// synchronization).
-    #[cfg(feature = "telemetry")]
-    busy_ns: Vec<AtomicU64>,
+    /// Per-thread counter slots (index = tid): the heartbeat bumped at
+    /// chunk claim and completion ([`HealthReport::heartbeats`]) and the
+    /// busy time ([`HealthReport::telemetry`]). Each thread writes only
+    /// its own slot. Diagnostic only.
+    slots: TelemetrySink,
     #[cfg(feature = "fault-injection")]
     fault: crate::faults::FaultHandle,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f`, crediting its wall time to `tid`'s busy counter. Compiles to
-/// a plain call without the `telemetry` feature.
-#[inline]
-fn timed<V: Scalar, R>(state: &Dispatch<V>, tid: usize, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "telemetry")]
-    {
-        let t0 = Instant::now();
-        let r = f();
-        state.busy_ns[tid].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (state, tid);
-        f()
-    }
 }
 
 impl<V: Scalar> Dispatch<V> {
@@ -649,11 +628,11 @@ fn sup_worker_loop<V: Scalar>(
             if !job.claim(c, tid) {
                 continue; // taken over for recovery
             }
-            job.hb[tid].fetch_add(1, Ordering::AcqRel);
-            if timed(&job, tid, || worker_chunk(&job, &*kernel, c, tid, &panicking)) {
+            job.slots.beat(tid);
+            if job.slots.timed(tid, || worker_chunk(&job, &*kernel, c, tid, &panicking)) {
                 return;
             }
-            job.hb[tid].fetch_add(1, Ordering::AcqRel);
+            job.slots.beat(tid);
         }
     }
 }
@@ -823,9 +802,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             published: (0..nchunks).map(|_| AtomicBool::new(false)).collect(),
             progress: Mutex::new(Progress { done: 0, failed: Vec::new() }),
             done_cv: Condvar::new(),
-            hb: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
-            #[cfg(feature = "telemetry")]
-            busy_ns: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
+            slots: TelemetrySink::new(self.nthreads),
             #[cfg(feature = "fault-injection")]
             fault: crate::faults::FaultHandle::capture(),
         });
@@ -849,13 +826,13 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 if !state.claim(c, 0) {
                     continue;
                 }
-                state.hb[0].fetch_add(1, Ordering::AcqRel);
+                state.slots.beat(0);
                 // SAFETY: the caller won chunk `c`'s claim.
-                timed(&state, 0, || unsafe {
+                state.slots.timed(0, || unsafe {
                     compute_chunk(&*self.kernel, c, state.x.get(), k, &out)
                 });
                 state.publish(c);
-                state.hb[0].fetch_add(1, Ordering::AcqRel);
+                state.slots.beat(0);
             }
         }
         let mut abandoned = false;
@@ -869,25 +846,18 @@ impl<V: Scalar> SupervisedSpMv<V> {
             lock(&self.shared.state).job = None;
         }
         result?;
-        report.heartbeats = state.hb.iter().map(|h| h.load(Ordering::Acquire)).collect();
-        #[cfg(feature = "telemetry")]
-        {
-            // Chunk counts come from the claim ledger: who *claimed* each
-            // chunk (recovery re-executions are credited to tid 0's busy
-            // time but not counted as chunks).
-            let mut chunks = vec![0u64; self.nthreads];
-            for claim in &state.claims {
-                let tid = claim.load(Ordering::Acquire);
-                if tid < self.nthreads {
-                    chunks[tid] += 1;
-                }
+        report.heartbeats = state.slots.heartbeats(0..self.nthreads);
+        // Chunk counts come from the claim ledger: who *claimed* each
+        // chunk (recovery re-executions are credited to tid 0's busy time
+        // but not counted as chunks).
+        let mut chunks = vec![0u64; self.nthreads];
+        for claim in &state.claims {
+            let tid = claim.load(Ordering::Acquire);
+            if tid < self.nthreads {
+                chunks[tid] += 1;
             }
-            report.telemetry = Some(PoolTelemetry {
-                busy_ns: state.busy_ns.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                chunks,
-                dispatches: 1,
-            });
         }
+        report.telemetry = PoolTelemetry { busy_ns: state.slots.busy_ns(), chunks, dispatches: 1 };
         // Every chunk is resolved. A worker abandoned in this call still
         // writes the set unless `retire` already replaced it.
         self.bufs_busy = abandoned;
@@ -1139,7 +1109,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
         // Recovery runs on the caller: credit its busy time to tid 0.
         // SAFETY: the claimer is resolved (see above), so only the caller
         // writes the chunk's rows of `out`.
-        timed(state, 0, || unsafe {
+        state.slots.timed(0, || unsafe {
             compute_chunk(&*self.kernel, chunk, state.x.get(), state.k, out)
         });
         state.publish(chunk);
@@ -1474,7 +1444,7 @@ mod tests {
     }
 
     #[test]
-    fn report_telemetry_matches_feature_state() {
+    fn report_telemetry_covers_every_thread() {
         let coo = irregular(100, 80, 4);
         let csr: Csr<u32, f64> = coo.to_csr();
         let x = x_for(80);
@@ -1482,17 +1452,12 @@ mod tests {
             SupervisedSpMv::with_opts(Arc::new(CsrChunks::new(Arc::new(csr), 8)), 3, calm());
         let mut y = vec![0.0; 100];
         let report = sup.spmv(&x, &mut y).expect("healthy run");
-        #[cfg(not(feature = "telemetry"))]
-        assert!(report.telemetry.is_none());
-        #[cfg(feature = "telemetry")]
-        {
-            let t = report.telemetry.expect("telemetry on");
-            assert_eq!(t.busy_ns.len(), 3);
-            assert_eq!(t.dispatches, 1);
-            // Every chunk was claimed by exactly one thread.
-            assert_eq!(t.chunks.iter().sum::<u64>(), 8);
-            assert!(t.imbalance() >= 1.0);
-        }
+        let t = report.telemetry;
+        assert_eq!(t.busy_ns.len(), 3);
+        assert_eq!(t.dispatches, 1);
+        // Every chunk was claimed by exactly one thread.
+        assert_eq!(t.chunks.iter().sum::<u64>(), 8);
+        assert!(t.imbalance() >= 1.0);
     }
 
     #[test]

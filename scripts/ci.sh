@@ -62,19 +62,13 @@ echo "== tier-1 under a 5 ms watchdog deadline =="
 # wrong result or error fails the gate.
 SPMV_WATCHDOG_MS=5 cargo test -q --test fault_tolerance
 
-echo "== telemetry feature matrix =="
-# The telemetry feature must not change results, only observability:
-# both crates that gate on it are tested with it enabled.
-cargo test -q -p spmv-parallel --features telemetry
-cargo test -q -p spmv-bench --features telemetry
-
 echo "== bench-smoke (BENCH.json emission + schema gate) =="
-# Emit a tiny-but-real benchmark artifact with per-worker telemetry and
-# re-validate it through the independent jsonv reader; a schema drift or
-# a non-finite metric fails the gate.
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
+# Emit a tiny-but-real benchmark artifact (its parallel records carry
+# per-worker telemetry) and re-validate it through the independent jsonv
+# reader; a schema drift or a non-finite metric fails the gate.
+cargo run -q --release -p spmv-bench --bin reproduce -- \
     --scale 0.002 --iters 6 --out target/bench-smoke bench
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
+cargo run -q --release -p spmv-bench --bin reproduce -- \
     check-bench target/bench-smoke/BENCH.json
 
 echo "== spmm-smoke (multi-vector kernel differential matrix + k records) =="
@@ -83,9 +77,9 @@ echo "== spmm-smoke (multi-vector kernel differential matrix + k records) =="
 # per-vector bandwidth fields and re-validate through check-bench.
 cargo test -q --test spmm_equivalence
 cargo test -q --test proptest_spmm
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
+cargo run -q --release -p spmv-bench --bin reproduce -- \
     --scale 0.002 --iters 4 --k 4 --out target/spmm-smoke bench
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
+cargo run -q --release -p spmv-bench --bin reproduce -- \
     check-bench target/spmm-smoke/BENCH.json
 
 echo "== simd-smoke (cross-ISA bit-identity + roofline artifact) =="
@@ -95,9 +89,9 @@ echo "== simd-smoke (cross-ISA bit-identity + roofline artifact) =="
 # a recognized kernel_isa, re-validated through check-bench.
 SPMV_ISA=scalar cargo test -q --test simd_equivalence
 SPMV_ISA=auto cargo test -q --test simd_equivalence
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
+cargo run -q --release -p spmv-bench --bin reproduce -- \
     --scale 0.002 --iters 4 --isa auto --out target/simd-smoke bench
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
+cargo run -q --release -p spmv-bench --bin reproduce -- \
     check-bench target/simd-smoke/BENCH.json
 
 echo "== service-smoke (overload-safe serving layer) =="
@@ -137,15 +131,14 @@ cargo run -q --release -p spmv-bench --bin reproduce -- \
     check-bench target/shard-chaos/BENCH.json
 
 echo "== plan-smoke (adaptive planner + fingerprint-keyed plan cache) =="
-# Two planner-driven runs against the same --out: the cold run analyzes
-# and measures every M0 matrix and persists the plan cache; the warm run
-# must serve every decision from that cache — zero misses, zero new
-# encodes (checked on the stable plan-cache counter line) — and its
-# schema-v6 artifact must re-validate through the independent reader.
-# At scale 0.002 every matrix fits the LLC of any host whose LLC the
-# planner can read, so there the cold run plans CSR and encodes nothing
-# either; the candidate-encode and cache-replay path is covered by
-# tests/planner_differential.rs, which pins the streamed regime.
+# Two planner-driven runs against the same --out, planning with the LLC
+# unknown (the streamed bandwidth-model regime): the cold run analyzes
+# every M0 matrix, encodes its candidate formats, measures the chosen
+# cell and persists the plan cache; the warm run must serve every
+# decision from that cache — zero misses, zero new encodes (checked on
+# the stable plan-cache counter line) — and its schema-v6 artifact must
+# re-validate through the independent reader. The stage thus covers
+# encode -> persist -> warm replay end to end.
 rm -rf target/plan-smoke
 cargo run -q --release -p spmv-bench --bin reproduce -- \
     --scale 0.002 --iters 2 --out target/plan-smoke plan

@@ -190,6 +190,7 @@ fn health_report_heartbeats_cover_every_thread() {
             nthreads,
             "one heartbeat counter per thread (caller is tid 0)"
         );
+        assert_eq!(report.telemetry.busy_ns.len(), nthreads, "one busy counter per thread");
         // Chunks were claimed by *someone*: total heartbeat activity must
         // reflect 2 beats (claim + completion) per chunk. (Waived under
         // the CI tight-deadline gate, where chunks may be recovered
